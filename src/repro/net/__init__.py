@@ -10,9 +10,9 @@ package is that boundary:
   shape, trace record, and recovery report gains ``to_wire`` /
   ``from_wire`` codecs with a schema-version tag, NaN/±inf rejection at
   encode time, and tagged value encoding so non-numeric (and mixed)
-  domains round-trip exactly.  Result vectors travel as raw float64
-  bytes, so an answer served over the wire is **bit-identical** to the
-  in-process answer.
+  domains round-trip exactly.  Batches travel as typed columns (wire
+  v3) and result vectors as raw float64 bytes, so an answer served over
+  the wire is **bit-identical** to the in-process answer.
 * :mod:`repro.net.server` — an asyncio server speaking length-prefixed
   JSON frames (plus a one-shot HTTP/JSON shim on the same port) with
   per-tenant token auth, quota/backpressure admission that degrades
@@ -41,6 +41,7 @@ from repro.net.client import (
     connect,
 )
 from repro.net.protocol import (
+    COLUMNS_MIN_VERSION,
     MAX_FRAME_BYTES,
     MIN_WIRE_SCHEMA_VERSION,
     REASON_AUTH_FAILED,
@@ -50,6 +51,7 @@ from repro.net.protocol import (
     FrameDecoder,
     WireCodecError,
     WireVersionError,
+    columns_from_wire,
     decode_estimates,
     decode_frame,
     decode_value,
@@ -59,6 +61,7 @@ from repro.net.protocol import (
     probe_from_wire,
     probe_to_wire,
     probes_from_wire,
+    probes_to_columns,
     probes_to_wire,
     recovery_report_from_wire,
     recovery_report_to_wire,
@@ -78,6 +81,7 @@ from repro.net.server import (
 )
 
 __all__ = [
+    "COLUMNS_MIN_VERSION",
     "MAX_FRAME_BYTES",
     "MIN_WIRE_SCHEMA_VERSION",
     "REASON_AUTH_FAILED",
@@ -101,6 +105,7 @@ __all__ = [
     "TenantConfig",
     "WireCodecError",
     "WireVersionError",
+    "columns_from_wire",
     "connect",
     "connect_async",
     "decode_estimates",
@@ -112,6 +117,7 @@ __all__ = [
     "probe_from_wire",
     "probe_to_wire",
     "probes_from_wire",
+    "probes_to_columns",
     "probes_to_wire",
     "recovery_report_from_wire",
     "recovery_report_to_wire",

@@ -38,6 +38,7 @@ from repro.net.client import (
     ConnectionFailedError,
     ProtocolError,
     RetrySchedule,
+    join_chunks,
 )
 from repro.obs import tracing
 from repro.obs.tracing import span
@@ -150,8 +151,9 @@ class AsyncEstimationClient:
                     code == "wire-version"
                     and self._wire_version > protocol.MIN_WIRE_SCHEMA_VERSION
                 ):
-                    # Older server: downgrade and redo the handshake.
-                    self._wire_version = protocol.MIN_WIRE_SCHEMA_VERSION
+                    # Older server: step down one version and redo the
+                    # handshake (see the sync flavor).
+                    self._wire_version -= 1
                     await self._teardown()
                     await self._open_once()
                     return
@@ -254,9 +256,10 @@ class AsyncEstimationClient:
                 )
                 try:
                     await self._send(call.request())
-                    while not call.consume(await self._recv_frame()):
-                        pass
-                    return call.result()
+                    chunks = []
+                    while not call.done:
+                        chunks.append(call.consume(await self._recv_frame()))
+                    return join_chunks(chunks)
                 except (ConnectionFailedError, OSError, asyncio.TimeoutError) as exc:
                     failure = exc
                     await self._teardown()
@@ -295,12 +298,9 @@ class AsyncEstimationClient:
         )
         try:
             await self._send(call.request())
-            done = False
-            while not done:
+            while not call.done:
                 frame = await self._recv_frame()
-                done = call.consume(frame)
-                chunk = protocol.decode_estimates(frame["estimates"])
-                yield int(frame.get("start", 0)), chunk
+                yield int(frame.get("start", 0)), call.consume(frame)
         except (ConnectionFailedError, OSError, asyncio.TimeoutError):
             await self._teardown()
             raise

@@ -165,10 +165,13 @@ class BatchCall:
     """Sans-IO state machine for one batch request/response exchange.
 
     The transport sends :meth:`request` and feeds every response frame to
-    :meth:`consume` until it returns True (eof); :meth:`result` then
-    holds the assembled float64 vector.  Raises :class:`RemoteBatchError`
-    on a server error frame and :class:`ProtocolError` on schema junk —
-    identically for both transports.
+    :meth:`consume` until :attr:`done`; each call hands back that frame's
+    decoded estimate slice, and the call keeps none of them — the
+    transport assembles (or streams) the slices.  Raises
+    :class:`RemoteBatchError` on a server error frame and
+    :class:`ProtocolError` on schema junk — identically for both
+    transports.  At wire schema v3+ the batch travels in column form
+    (:func:`~repro.net.protocol.probes_to_columns`), below it as rows.
     """
 
     def __init__(
@@ -182,26 +185,34 @@ class BatchCall:
         wire_version: Optional[int] = None,
     ):
         self._count = len(probes)
-        self._request = protocol.batch_request(
-            protocol.probes_to_wire(probes),
+        envelope = dict(
             request_id=request_id,
             on_error=on_error,
             want_traces=trace is not None,
             trace_context=trace_context,
             version=wire_version,
         )
+        version = protocol.WIRE_SCHEMA_VERSION if wire_version is None else wire_version
+        if version >= protocol.COLUMNS_MIN_VERSION:
+            self._request = protocol.columns_request(
+                protocol.probes_to_columns(probes), **envelope
+            )
+        else:
+            self._request = protocol.batch_request(
+                protocol.probes_to_wire(probes), **envelope
+            )
         self._request_id = request_id
         self._trace = trace
-        self._chunks: list[np.ndarray] = []
         self._received = 0
-        self._total: Optional[int] = None
+        #: True once the eof chunk has been consumed.
+        self.done = False
 
     def request(self) -> dict:
         """The envelope to send."""
         return self._request
 
-    def consume(self, frame: dict) -> bool:
-        """Absorb one response frame; True when the stream is complete."""
+    def consume(self, frame: dict) -> np.ndarray:
+        """Absorb one response frame; returns its decoded estimate slice."""
         protocol.check_version(frame)
         op = frame.get("op")
         if op == "error":
@@ -226,23 +237,24 @@ class BatchCall:
                 f"out-of-order chunk: start={frame.get('start')!r}, "
                 f"expected {self._received}"
             )
-        self._total = int(frame.get("count", self._count))
-        self._chunks.append(chunk)
+        total = int(frame.get("count", self._count))
         self._received += chunk.size
         if self._trace is not None:
             for wire_trace in frame.get("traces", []):
                 self._trace(protocol.trace_from_wire(wire_trace))
-        return bool(frame.get("eof"))
-
-    def result(self) -> np.ndarray:
-        """The assembled estimate vector (after eof)."""
-        if self._total is not None and self._received != self._total:
+        self.done = bool(frame.get("eof"))
+        if self.done and self._received != total:
             raise ProtocolError(
-                f"stream ended after {self._received} of {self._total} estimates"
+                f"stream ended after {self._received} of {total} estimates"
             )
-        if not self._chunks:
-            return np.zeros(0, dtype=np.float64)
-        return np.concatenate(self._chunks)
+        return chunk
+
+
+def join_chunks(chunks: list[np.ndarray]) -> np.ndarray:
+    """One float64 vector from the slices :meth:`BatchCall.consume` returned."""
+    if not chunks:
+        return np.zeros(0, dtype=np.float64)
+    return np.concatenate(chunks)
 
 
 class EstimationClient:
@@ -287,9 +299,9 @@ class EstimationClient:
         self._pending: list[dict] = []
         self._next_id = 1
         #: The wire schema this connection speaks.  Starts at this
-        #: build's native version; a "wire-version" refusal during the
-        #: handshake downgrades it to the oldest supported version (an
-        #: old server, new client) and redoes the hello.
+        #: build's native version; each "wire-version" refusal during the
+        #: handshake (an older server) steps it down one version and
+        #: redoes the hello.
         self._wire_version = protocol.WIRE_SCHEMA_VERSION
 
     @property
@@ -365,10 +377,11 @@ class EstimationClient:
                     code == "wire-version"
                     and self._wire_version > protocol.MIN_WIRE_SCHEMA_VERSION
                 ):
-                    # An older server refused our native version: fall
-                    # back to the oldest schema we speak and redo the
+                    # An older server refused this version: step down one
+                    # version (keeping every feature the server may still
+                    # speak, e.g. v2's trace_context) and redo the
                     # handshake on a fresh connection.
-                    self._wire_version = protocol.MIN_WIRE_SCHEMA_VERSION
+                    self._wire_version -= 1
                     self._sock = None
                     sock.close()
                     self._open_once()
@@ -472,9 +485,10 @@ class EstimationClient:
                 )
                 try:
                     self._send(call.request())
-                    while not call.consume(self._next_frames_one()):
-                        pass
-                    return call.result()
+                    chunks = []
+                    while not call.done:
+                        chunks.append(call.consume(self._next_frames_one()))
+                    return join_chunks(chunks)
                 except (ConnectionFailedError, OSError) as exc:
                     failure = exc
                     self._teardown()
@@ -516,12 +530,9 @@ class EstimationClient:
         )
         try:
             self._send(call.request())
-            done = False
-            while not done:
+            while not call.done:
                 frame = self._next_frames_one()
-                done = call.consume(frame)
-                chunk = protocol.decode_estimates(frame["estimates"])
-                yield int(frame.get("start", 0)), chunk
+                yield int(frame.get("start", 0)), call.consume(frame)
         except (ConnectionFailedError, OSError):
             self._teardown()
             raise

@@ -31,6 +31,14 @@ Design rules
   legitimately contain NaN (the ``on_error="nan"`` policy), so they
   travel as base64 of the raw little-endian float64 buffer
   (:func:`encode_estimates`), never as JSON numbers.
+* **Columnar batches (v3).** A batch may travel as typed columns
+  (:func:`probes_to_columns`) instead of one JSON object per probe:
+  kind codes, interned names with int32 index columns, and value/bound
+  columns as raw little-endian int64/float64 buffers in the same base64
+  codec as estimates.  Only columns that are not all plain int64 ints
+  or all finite floats fall back to tagged values, so every value still
+  round-trips exactly, and the server builds its
+  :class:`~repro.serve.ProbeFrame` straight from the columns.
 * **Length-prefixed frames.** A frame is a 4-byte big-endian length
   followed by UTF-8 JSON (``allow_nan=False``).  :class:`FrameDecoder`
   reassembles frames incrementally from arbitrary byte chunks for the
@@ -48,6 +56,13 @@ import numpy as np
 
 from repro.engine.persist import QuarantinedEntry, RecoveryReport
 from repro.obs.tracing import TraceContext
+from repro.serve.frame import (
+    KIND_EQUALITY,
+    KIND_JOIN,
+    KIND_RANGE,
+    ProbeColumns,
+    ValueColumn,
+)
 from repro.serve.service import (
     EqualityProbe,
     JoinProbe,
@@ -64,18 +79,25 @@ from repro.serve.service import (
 #: * v2 — adds the *optional* ``trace_context`` field on batch requests
 #:   (framed and HTTP).  Responses are unchanged; a v2 speaker answers a
 #:   v1 peer with v1-stamped frames, bit-identically to a v1 build.
-WIRE_SCHEMA_VERSION = 2
+#: * v3 — a batch request may carry ``columns`` (the typed column form of
+#:   :func:`probes_to_columns`) in place of the row-form ``probes`` list.
+#:   Responses are unchanged.
+WIRE_SCHEMA_VERSION = 3
 
-#: Every wire schema version this build can speak.  A v2 server accepts
-#: v1 hellos/requests (and mirrors the peer's version in its responses);
-#: a v2 client downgrades to v1 when an old server refuses its hello.
-SUPPORTED_WIRE_VERSIONS = frozenset({1, 2})
+#: Every wire schema version this build can speak.  The server accepts
+#: older hellos/requests (and mirrors the peer's version in its
+#: responses); a client steps down one version at a time when an older
+#: server refuses its hello.
+SUPPORTED_WIRE_VERSIONS = frozenset({1, 2, 3})
 
-#: The lowest version still supported (the downgrade target).
+#: The lowest version still supported (the last step-down target).
 MIN_WIRE_SCHEMA_VERSION = min(SUPPORTED_WIRE_VERSIONS)
 
 #: First wire schema version that carries ``trace_context`` on batches.
 TRACE_CONTEXT_MIN_VERSION = 2
+
+#: First wire schema version whose batches may carry ``columns``.
+COLUMNS_MIN_VERSION = 3
 
 #: Hard bound on one frame's JSON payload (16 MiB).  A length prefix
 #: beyond this is treated as a protocol error — it is far more likely a
@@ -89,6 +111,9 @@ REASON_AUTH_FAILED = "auth-failed"
 #: Degradation reason for a probe entry that could not be decoded from
 #: its wire form (the rest of the batch is still answered).
 REASON_WIRE_DECODE = "wire-decode-failed"
+
+#: Relation/attribute name that stands in for an undecodable probe entry.
+UNDECODABLE_NAME = "<undecodable>"
 
 _LENGTH = struct.Struct(">I")
 
@@ -418,30 +443,250 @@ def recovery_report_from_wire(wire: Any) -> RecoveryReport:
 # ---------------------------------------------------------------------------
 
 
-def encode_estimates(estimates: np.ndarray) -> dict:
-    """Base64 of the raw little-endian float64 buffer — bit-exact, NaN-safe."""
-    array = np.ascontiguousarray(estimates, dtype="<f8")
+#: Wire dtype tags of raw array columns and the native dtype each decodes to.
+_ARRAY_DTYPES = {"<f8": np.float64, "<i8": np.int64, "<i4": np.int32, "|u1": np.uint8}
+
+
+def _encode_array(array: np.ndarray, dtype: str) -> dict:
+    """Base64 of the raw little-endian buffer of *array* cast to *dtype*."""
+    array = np.ascontiguousarray(array, dtype=dtype)
     return {
-        "dtype": "<f8",
+        "dtype": dtype,
         "n": int(array.size),
         "data": base64.b64encode(array.tobytes()).decode("ascii"),
     }
 
 
-def decode_estimates(wire: Any) -> np.ndarray:
-    """Invert :func:`encode_estimates`."""
-    if not isinstance(wire, dict) or wire.get("dtype") != "<f8":
-        raise WireCodecError(f"malformed estimates payload {wire!r}")
+def _decode_array(wire: Any, dtype: str, what: str) -> np.ndarray:
+    """Invert :func:`_encode_array`; raises :class:`WireCodecError` on junk."""
+    if not isinstance(wire, dict) or wire.get("dtype") != dtype:
+        raise WireCodecError(f"malformed {what} payload: expected a {dtype} array")
     try:
         raw = base64.b64decode(wire["data"], validate=True)
         count = int(wire["n"])
     except (KeyError, TypeError, ValueError) as exc:
-        raise WireCodecError(f"malformed estimates payload {wire!r}") from exc
-    if len(raw) != count * 8:
+        raise WireCodecError(f"malformed {what} payload: {exc}") from exc
+    itemsize = np.dtype(dtype).itemsize
+    if len(raw) != count * itemsize:
         raise WireCodecError(
-            f"estimates payload length mismatch: {len(raw)} bytes for n={count}"
+            f"{what} payload length mismatch: {len(raw)} bytes for n={count}"
         )
-    return np.frombuffer(raw, dtype="<f8").astype(np.float64, copy=True)
+    return np.frombuffer(raw, dtype=dtype).astype(_ARRAY_DTYPES[dtype], copy=True)
+
+
+def encode_estimates(estimates: np.ndarray) -> dict:
+    """Base64 of the raw little-endian float64 buffer — bit-exact, NaN-safe."""
+    return _encode_array(estimates, "<f8")
+
+
+def decode_estimates(wire: Any) -> np.ndarray:
+    """Invert :func:`encode_estimates`."""
+    return _decode_array(wire, "<f8", "estimates")
+
+
+# ---------------------------------------------------------------------------
+# Columnar batch codec (v3)
+# ---------------------------------------------------------------------------
+
+#: Value-column dtypes shipped as raw arrays (anything else is tagged).
+_VALUE_DTYPES = {int: "<i8", float: "<f8"}
+
+
+def _tagged_column(values: Sequence[Any]) -> dict:
+    return {
+        "dtype": "tagged",
+        "n": len(values),
+        "items": [encode_value(value) for value in values],
+    }
+
+
+def _values_to_wire(values: list) -> dict:
+    """One value column: a raw int64/float64 array when it can be, else tagged.
+
+    A column is raw when every non-``None`` entry is a plain ``int``
+    within int64 or every one is a finite ``float``; ``None`` entries
+    then ride a ``null`` mask.  Refuses NaN/±inf and unsupported types
+    exactly as :func:`encode_value` does.
+    """
+    present = set(map(type, values))
+    has_null = type(None) in present
+    present.discard(type(None))
+    # An empty or all-None column rides as int64 under its null mask.
+    dtype = _VALUE_DTYPES.get(present.pop() if present else int)
+    if dtype is None or present:  # non-numeric, or a mix of types
+        return _tagged_column(values)
+    dense = [0 if value is None else value for value in values] if has_null else values
+    try:
+        array = np.array(dense, dtype=dtype)
+    except OverflowError:  # an int beyond int64
+        return _tagged_column(values)
+    if dtype == "<f8" and not np.isfinite(array).all():
+        _tagged_column(values)  # raises encode_value's WireCodecError
+    body = _encode_array(array, dtype)
+    if has_null:
+        body["null"] = _encode_array(
+            np.fromiter((v is None for v in values), dtype=np.uint8, count=len(values)),
+            "|u1",
+        )
+    return body
+
+
+def probes_to_columns(probes: Iterable[Probe]) -> dict:
+    """Encode a probe sequence as a v3 ``columns`` payload.
+
+    Layout: ``n`` probes; ``names`` (the interned relation/attribute
+    strings); ``kind`` (uint8 kind codes); ``rel``/``attr`` (int32 name
+    indices, a join's left side); ``value`` (one entry per equality);
+    ``low``/``high`` (one per range) with ``incl`` (uint8, bit 0 =
+    ``include_low``, bit 1 = ``include_high``); ``rel2``/``attr2``
+    (int32, one per join).  Raises :class:`WireCodecError` for whatever
+    :func:`probes_to_wire` refuses (and for unhashable names).
+    """
+    try:
+        columns = ProbeColumns.from_probes(probes)
+    except TypeError as exc:
+        raise WireCodecError(str(exc)) from exc
+    flags = columns.include_low.astype(np.uint8) | (
+        columns.include_high.astype(np.uint8) << 1
+    )
+    return {
+        "n": len(columns),
+        "names": list(columns.names),
+        "kind": _encode_array(columns.kinds, "|u1"),
+        "rel": _encode_array(columns.rel, "<i4"),
+        "attr": _encode_array(columns.attr, "<i4"),
+        "value": _values_to_wire(columns.values),
+        "low": _values_to_wire(columns.lows),
+        "high": _values_to_wire(columns.highs),
+        "incl": _encode_array(flags, "|u1"),
+        "rel2": _encode_array(columns.right_rel, "<i4"),
+        "attr2": _encode_array(columns.right_attr, "<i4"),
+    }
+
+
+def _column_array(wire: dict, field: str, dtype: str, count: int) -> np.ndarray:
+    array = _decode_array(wire.get(field), dtype, f"columns.{field}")
+    if array.size != count:
+        raise WireCodecError(
+            f"columns.{field} has {array.size} entries, expected {count}"
+        )
+    return array
+
+
+def _values_from_wire(
+    wire: dict, field: str, count: int
+) -> tuple[ValueColumn, Optional[np.ndarray]]:
+    """One value column plus the mask of its undecodable entries (or None)."""
+    column = wire.get(field)
+    if not isinstance(column, dict):
+        raise WireCodecError(f"columns.{field} must be an object")
+    dtype = column.get("dtype")
+    if dtype == "tagged":
+        items = column.get("items")
+        if not isinstance(items, list) or len(items) != count:
+            raise WireCodecError(
+                f"columns.{field} must list {count} tagged values"
+            )
+        values: list = []
+        failed: Optional[np.ndarray] = None
+        for index, item in enumerate(items):
+            try:
+                values.append(decode_value(item))
+            except WireCodecError:
+                values.append(None)
+                if failed is None:
+                    failed = np.zeros(count, dtype=bool)
+                failed[index] = True
+        return values, failed
+    if dtype not in _VALUE_DTYPES.values():
+        raise WireCodecError(f"columns.{field} has unknown dtype {dtype!r}")
+    array = _column_array(wire, field, dtype, count)
+    if "null" not in column:
+        return array, None
+    nulls = _column_array(column, "null", "|u1", count)
+    values = array.tolist()
+    for index in np.nonzero(nulls)[0].tolist():
+        values[index] = None
+    return values, None
+
+
+def _bad_ids(ids: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """Mask of name indices outside the table or naming a non-string."""
+    bad = (ids < 0) | (ids >= valid.size)
+    inside = ~bad
+    bad[inside] = ~valid[ids[inside]]
+    return bad
+
+
+def columns_from_wire(wire: Any) -> tuple[ProbeColumns, np.ndarray]:
+    """Decode a v3 ``columns`` payload into columns plus a failure mask.
+
+    A name index outside ``names`` (or naming a non-string) and an
+    undecodable tagged value fail only their own position: the returned
+    boolean mask marks it, and its names are re-pointed at
+    :data:`UNDECODABLE_NAME` so the frame still builds — the server then
+    degrades it with ``REASON_WIRE_DECODE``.  Structural damage (missing
+    columns, bad base64, length mismatches, unknown dtypes, kind codes or
+    flag bits) raises :class:`WireCodecError`.
+    """
+    if not isinstance(wire, dict):
+        raise WireCodecError("batch.columns must be an object")
+    count = wire.get("n")
+    if not isinstance(count, int) or isinstance(count, bool) or count < 0:
+        raise WireCodecError(f"columns.n must be a count, got {count!r}")
+    names = wire.get("names")
+    if not isinstance(names, list):
+        raise WireCodecError("columns.names must be an array")
+    kinds = _column_array(wire, "kind", "|u1", count)
+    if count and int(kinds.max()) > KIND_JOIN:
+        raise WireCodecError(f"columns.kind holds unknown code {int(kinds.max())}")
+    counts = np.bincount(kinds, minlength=KIND_JOIN + 1).tolist()
+    rel = _column_array(wire, "rel", "<i4", count)
+    attr = _column_array(wire, "attr", "<i4", count)
+    values, bad_values = _values_from_wire(wire, "value", counts[KIND_EQUALITY])
+    lows, bad_lows = _values_from_wire(wire, "low", counts[KIND_RANGE])
+    highs, bad_highs = _values_from_wire(wire, "high", counts[KIND_RANGE])
+    flags = _column_array(wire, "incl", "|u1", counts[KIND_RANGE])
+    if flags.size and int(flags.max()) > 3:
+        raise WireCodecError("columns.incl uses bits beyond bit 1")
+    right_rel = _column_array(wire, "rel2", "<i4", counts[KIND_JOIN])
+    right_attr = _column_array(wire, "attr2", "<i4", counts[KIND_JOIN])
+
+    valid = np.fromiter(
+        (isinstance(name, str) for name in names), dtype=bool, count=len(names)
+    )
+    failed = _bad_ids(rel, valid) | _bad_ids(attr, valid)
+    per_kind = (
+        (KIND_EQUALITY, [bad_values]),
+        (KIND_RANGE, [bad_lows, bad_highs]),
+        (KIND_JOIN, [_bad_ids(right_rel, valid), _bad_ids(right_attr, valid)]),
+    )
+    for kind, masks in per_kind:
+        masks = [mask for mask in masks if mask is not None and mask.any()]
+        if masks:
+            failed[np.nonzero(kinds == kind)[0][np.logical_or.reduce(masks)]] = True
+    if failed.any():
+        names = [*names, UNDECODABLE_NAME]
+        placeholder = len(names) - 1
+        rel = np.where(failed, placeholder, rel).astype(np.int32)
+        attr = np.where(failed, placeholder, attr).astype(np.int32)
+        joins_failed = failed[kinds == KIND_JOIN]
+        right_rel = np.where(joins_failed, placeholder, right_rel).astype(np.int32)
+        right_attr = np.where(joins_failed, placeholder, right_attr).astype(np.int32)
+    columns = ProbeColumns(
+        kinds,
+        names,
+        rel,
+        attr,
+        values,
+        lows,
+        highs,
+        (flags & 1).astype(bool),
+        (flags & 2).astype(bool),
+        right_rel,
+        right_attr,
+    )
+    return columns, failed
 
 
 # ---------------------------------------------------------------------------
@@ -590,27 +835,21 @@ def read_frame_length(prefix: bytes) -> int:
     return length
 
 
-def batch_request(
-    probes_wire: Sequence[dict],
+def _batch_envelope(
+    field: str,
+    payload: Any,
     *,
     request_id: int,
-    on_error: Optional[str] = None,
-    want_traces: bool = False,
-    trace_context: Optional[TraceContext] = None,
-    version: Optional[int] = None,
+    on_error: Optional[str],
+    want_traces: bool,
+    trace_context: Optional[TraceContext],
+    version: Optional[int],
 ) -> dict:
-    """The batch-submit envelope both SDK flavors send.
-
-    ``trace_context`` joins the request into an existing trace; it is
-    only emitted at wire schema v2+ (and never as ``null`` — a request
-    without a context simply omits the field, so v1 peers see the exact
-    bytes a v1 build would send).
-    """
     body = message(
         "batch",
         version=version,
         id=int(request_id),
-        probes=list(probes_wire),
+        **{field: payload},
         traces=bool(want_traces),
     )
     if on_error is not None:
@@ -620,6 +859,87 @@ def batch_request(
     ):
         body["trace_context"] = trace_context_to_wire(trace_context)
     return body
+
+
+def batch_request(
+    probes_wire: Sequence[dict],
+    *,
+    request_id: int,
+    on_error: Optional[str] = None,
+    want_traces: bool = False,
+    trace_context: Optional[TraceContext] = None,
+    version: Optional[int] = None,
+) -> dict:
+    """The row-form batch-submit envelope (every wire schema version).
+
+    ``trace_context`` joins the request into an existing trace; it is
+    only emitted at wire schema v2+ (and never as ``null`` — a request
+    without a context simply omits the field, so v1 peers see the exact
+    bytes a v1 build would send).
+    """
+    return _batch_envelope(
+        "probes",
+        list(probes_wire),
+        request_id=request_id,
+        on_error=on_error,
+        want_traces=want_traces,
+        trace_context=trace_context,
+        version=version,
+    )
+
+
+def columns_request(
+    columns_wire: dict,
+    *,
+    request_id: int,
+    on_error: Optional[str] = None,
+    want_traces: bool = False,
+    trace_context: Optional[TraceContext] = None,
+    version: Optional[int] = None,
+) -> dict:
+    """The v3 batch-submit envelope carrying a :func:`probes_to_columns` payload.
+
+    Same fields as :func:`batch_request` with ``columns`` in place of
+    ``probes``; raises :class:`WireCodecError` below v3.
+    """
+    if version is not None and int(version) < COLUMNS_MIN_VERSION:
+        raise WireCodecError(
+            f"columnar batches need wire schema v{COLUMNS_MIN_VERSION}+, "
+            f"not v{version}"
+        )
+    return _batch_envelope(
+        "columns",
+        columns_wire,
+        request_id=request_id,
+        on_error=on_error,
+        want_traces=want_traces,
+        trace_context=trace_context,
+        version=version,
+    )
+
+
+def batch_payload(request: dict, version: int) -> tuple[str, Any]:
+    """``("probes", list)`` or ``("columns", dict)`` of a batch request.
+
+    A batch carries exactly one of the two, and ``columns`` only at v3+;
+    anything else raises :class:`WireCodecError` naming the problem.
+    """
+    if "columns" in request:
+        if "probes" in request:
+            raise WireCodecError("a batch carries probes or columns, not both")
+        if version < COLUMNS_MIN_VERSION:
+            raise WireCodecError(
+                f"batch.columns needs wire schema v{COLUMNS_MIN_VERSION}+, "
+                f"this request speaks v{version}"
+            )
+        columns = request["columns"]
+        if not isinstance(columns, dict):
+            raise WireCodecError("batch.columns must be an object")
+        return "columns", columns
+    probes = request.get("probes")
+    if not isinstance(probes, list):
+        raise WireCodecError("batch.probes must be an array")
+    return "probes", probes
 
 
 def hello_request(

@@ -22,9 +22,14 @@ One :class:`EstimationServer` wraps one in-process
   ``admission=`` hook, exactly like today's unanswerable probes.  A
   malformed probe entry degrades alone (``REASON_WIRE_DECODE``); the
   rest of its batch is answered.
-* **Instrumented** — ``net.accept`` / ``net.batch`` / ``net.stream``
-  spans, and per-tenant labeled counters in the default metric registry
-  (``repro_net_batches_total{tenant=...}`` and friends).
+* **Columnar decode** — a v3 ``columns`` batch becomes a
+  :class:`~repro.serve.ProbeFrame` straight from its arrays
+  (:meth:`~repro.serve.ProbeFrame.from_columns`), with admission
+  verdicts computed as masks; probe objects are built only for the
+  positions a verdict rejects.
+* **Instrumented** — ``net.accept`` / ``net.batch`` / ``net.decode`` /
+  ``net.stream`` spans, and per-tenant labeled counters in the default
+  metric registry (``repro_net_batches_total{tenant=...}`` and friends).
 
 The CPU-bound estimation itself runs on the default executor so slow
 batches never stall the event loop's accept path.
@@ -36,8 +41,8 @@ import asyncio
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -46,11 +51,11 @@ from repro.obs import runtime as obs
 from repro.obs import tracing
 from repro.obs.export import assemble_traces, render_trace_tree, trace_summary
 from repro.obs.tracing import SpanRecord, TraceContext, span
+from repro.serve.frame import EqualityProbe, Probe, ProbeFrame
 from repro.serve.service import (
     REASON_BACKPRESSURE,
     REASON_QUOTA_EXCEEDED,
     EstimationService,
-    Probe,
     ProbeTrace,
 )
 from repro.util.validation import ensure_positive_int
@@ -62,9 +67,6 @@ if TYPE_CHECKING:  # import cycle: repro.maint imports repro.obs via net
 #: float64 values are ~22 KiB base64 — large enough to amortize framing,
 #: small enough that a 10k-probe result streams in a handful of frames.
 DEFAULT_CHUNK_PROBES = 2048
-
-#: Placeholder relation recorded in traces for undecodable probe slots.
-_INVALID_RELATION = "<undecodable>"
 
 #: Spans retained in memory for the ``/v1/tracez`` endpoint.
 DEFAULT_TRACEZ_SPANS = 512
@@ -138,13 +140,19 @@ class _TenantState:
 
 @dataclass
 class _DecodedBatch:
-    """One batch request after per-entry decode + admission."""
+    """One batch request after decode + admission."""
 
-    probes: list[Probe] = field(default_factory=list)
-    #: Aligned rejection reasons (``None`` = admitted).  Decode failures
-    #: are pre-marked here and carry a placeholder probe.
-    verdicts: list[Optional[str]] = field(default_factory=list)
-    decode_failures: int = 0
+    #: The row-form probes (v1/v2), or the frame built from v3 columns.
+    probes: Union[list[Probe], ProbeFrame]
+    #: Aligned rejection reasons (``None`` = admitted), or ``None`` when
+    #: every probe was admitted.  Decode failures are pre-marked here.
+    verdicts: Optional[list[Optional[str]]]
+    #: Probes admitted (counted against the tenant's pending bound).
+    admitted: int
+
+    @property
+    def rejected(self) -> int:
+        return len(self.probes) - self.admitted
 
 
 class EstimationServer:
@@ -492,40 +500,82 @@ class EstimationServer:
     # ------------------------------------------------------------------
 
     def _decode_batch(
-        self, entries: Sequence[object], tenant: _TenantState
+        self,
+        form: str,
+        payload: object,
+        tenant: _TenantState,
+        *,
+        version: int,
+        context: Optional[TraceContext],
     ) -> _DecodedBatch:
-        """Decode probes entry-by-entry and apply admission limits.
+        """Decode one batch payload and apply admission limits.
 
         Runs on the event loop (admission state is loop-confined); the
-        heavy estimation work happens in the executor afterwards.
+        heavy estimation work happens in the executor afterwards.  A
+        malformed entry fails only its own position; structural junk in
+        a ``columns`` payload raises :class:`~repro.net.protocol.WireCodecError`.
         """
-        batch = _DecodedBatch()
+        with span(
+            "net.decode",
+            context=context,
+            server=self.name,
+            schema=version,
+            probes=_declared_probes(form, payload),
+        ):
+            probes: Union[list[Probe], ProbeFrame]
+            if form == "columns":
+                columns, failed = protocol.columns_from_wire(payload)
+                probes = ProbeFrame.from_columns(columns)
+            else:
+                probes = []
+                failed = np.zeros(len(payload), dtype=bool)
+                for index, entry in enumerate(payload):
+                    try:
+                        probes.append(protocol.probe_from_wire(entry))
+                    except protocol.WireCodecError:
+                        probes.append(_invalid_probe())
+                        failed[index] = True
+        return self._admit(probes, failed, tenant)
+
+    def _admit(
+        self,
+        probes: Union[list[Probe], ProbeFrame],
+        failed: np.ndarray,
+        tenant: _TenantState,
+    ) -> _DecodedBatch:
+        """Quota and backpressure verdicts for a decoded batch, as masks.
+
+        Position order decides: the tail past ``max_probes_per_batch`` is
+        over quota, and of the rest, the entries beyond the tenant's free
+        ``max_pending_probes`` room are backpressured.
+        """
         limits = tenant.config
-        for index, entry in enumerate(entries):
-            try:
-                probe = protocol.probe_from_wire(entry)
-                verdict: Optional[str] = None
-            except protocol.WireCodecError:
-                probe = _invalid_probe()
-                verdict = protocol.REASON_WIRE_DECODE
-                batch.decode_failures += 1
-            if verdict is None and limits.max_probes_per_batch:
-                if index >= limits.max_probes_per_batch:
-                    verdict = REASON_QUOTA_EXCEEDED
-            if verdict is None and limits.max_pending_probes:
-                if tenant.pending_probes >= limits.max_pending_probes:
-                    verdict = REASON_BACKPRESSURE
-                else:
-                    tenant.pending_probes += 1
-            batch.probes.append(probe)
-            batch.verdicts.append(verdict)
-        return batch
+        rejections = [(failed, protocol.REASON_WIRE_DECODE)]
+        admitted = ~failed
+        if limits.max_probes_per_batch:
+            quota = admitted.copy()
+            quota[: limits.max_probes_per_batch] = False
+            admitted &= ~quota
+            rejections.append((quota, REASON_QUOTA_EXCEEDED))
+        if limits.max_pending_probes:
+            room = max(limits.max_pending_probes - tenant.pending_probes, 0)
+            pressed = admitted & (np.cumsum(admitted, dtype=np.int64) > room)
+            admitted &= ~pressed
+            rejections.append((pressed, REASON_BACKPRESSURE))
+        count = int(np.count_nonzero(admitted))
+        if limits.max_pending_probes:
+            tenant.pending_probes += count
+        if count == admitted.size:
+            return _DecodedBatch(probes, None, count)
+        verdicts: list[Optional[str]] = [None] * admitted.size
+        for mask, reason in rejections:
+            for position in np.nonzero(mask)[0].tolist():
+                verdicts[position] = reason
+        return _DecodedBatch(probes, verdicts, count)
 
     def _release_pending(self, batch: _DecodedBatch, tenant: _TenantState) -> None:
-        if not tenant.config.max_pending_probes:
-            return
-        admitted = sum(1 for verdict in batch.verdicts if verdict is None)
-        tenant.pending_probes -= admitted
+        if tenant.config.max_pending_probes:
+            tenant.pending_probes -= batch.admitted
 
     def _request_trace_context(
         self, request: dict, tenant: _TenantState
@@ -574,15 +624,12 @@ class EstimationServer:
         on_error: Optional[str],
     ) -> tuple[np.ndarray, list[ProbeTrace]]:
         traces: list[ProbeTrace] = []
-        if any(verdict is not None for verdict in batch.verdicts):
-            admission = lambda probes: batch.verdicts  # noqa: E731
-        else:
-            admission = None
+        verdicts = batch.verdicts
         estimates = self.service.estimate_batch(
             batch.probes,
             on_error=on_error,
             trace=traces.append,
-            admission=admission,
+            admission=None if verdicts is None else lambda probes: verdicts,
         )
         obs.count(
             "repro_net_probes_total",
@@ -590,11 +637,10 @@ class EstimationServer:
             server=self.name,
             tenant=tenant_name,
         )
-        rejected = sum(1 for verdict in batch.verdicts if verdict is not None)
-        if rejected:
+        if batch.rejected:
             obs.count(
                 "repro_net_rejected_probes_total",
-                rejected,
+                batch.rejected,
                 server=self.name,
                 tenant=tenant_name,
             )
@@ -602,12 +648,17 @@ class EstimationServer:
 
     async def _execute_batch(
         self,
-        entries: Sequence[object],
+        form: str,
+        payload: object,
         tenant: _TenantState,
         on_error: Optional[str],
+        *,
+        version: int,
         context: Optional[TraceContext] = None,
     ) -> tuple[np.ndarray, list[ProbeTrace]]:
-        batch = self._decode_batch(entries, tenant)
+        batch = self._decode_batch(
+            form, payload, tenant, version=version, context=context
+        )
         loop = asyncio.get_running_loop()
         try:
             return await loop.run_in_executor(
@@ -624,18 +675,10 @@ class EstimationServer:
         version: int,
     ) -> None:
         request_id = request.get("id", 0)
-        entries = request.get("probes")
-        if not isinstance(entries, list):
-            await self._send_frame(
-                writer,
-                protocol.message(
-                    "error",
-                    version=version,
-                    id=request_id,
-                    code="protocol-error",
-                    detail="batch.probes must be an array",
-                ),
-            )
+        try:
+            form, payload = protocol.batch_payload(request, version)
+        except protocol.WireCodecError as exc:
+            await self._send_protocol_error(writer, version, request_id, exc)
             return
         on_error = request.get("on_error")
         want_traces = bool(request.get("traces"))
@@ -647,7 +690,7 @@ class EstimationServer:
             context=context,
             server=self.name,
             tenant=tenant.config.name,
-            probes=len(entries),
+            probes=_declared_probes(form, payload),
         ) as batch_span:
             obs.count(
                 "repro_net_batches_total",
@@ -656,8 +699,18 @@ class EstimationServer:
             )
             try:
                 estimates, traces = await self._execute_batch(
-                    entries, tenant, on_error, batch_span.context
+                    form,
+                    payload,
+                    tenant,
+                    on_error,
+                    version=version,
+                    context=batch_span.context,
                 )
+            except protocol.WireCodecError as exc:
+                # Structural junk in a columns payload: a typed refusal of
+                # this batch; the connection and its other requests live on.
+                await self._send_protocol_error(writer, version, request_id, exc)
+                return
             except Exception as exc:
                 # on_error="raise" (or an invalid policy string) surfaces
                 # as a typed per-batch error frame; the connection and its
@@ -682,6 +735,24 @@ class EstimationServer:
                 version=version,
                 context=batch_span.context,
             )
+
+    async def _send_protocol_error(
+        self,
+        writer: asyncio.StreamWriter,
+        version: int,
+        request_id: object,
+        exc: protocol.WireCodecError,
+    ) -> None:
+        await self._send_frame(
+            writer,
+            protocol.message(
+                "error",
+                version=version,
+                id=request_id,
+                code="protocol-error",
+                detail=str(exc),
+            ),
+        )
 
     async def _stream_result(
         self,
@@ -819,11 +890,10 @@ class EstimationServer:
         ) as exc:
             await _http_respond(writer, 400, {"error": str(exc)})
             return
-        entries = request.get("probes")
-        if not isinstance(entries, list):
-            await _http_respond(
-                writer, 400, {"error": "batch.probes must be an array"}
-            )
+        try:
+            form, entries = protocol.batch_payload(request, req_version)
+        except protocol.WireCodecError as exc:
+            await _http_respond(writer, 400, {"error": str(exc)})
             return
         context = self._request_trace_context(request, tenant)
         with span(
@@ -831,7 +901,7 @@ class EstimationServer:
             context=context,
             server=self.name,
             tenant=tenant.config.name,
-            probes=len(entries),
+            probes=_declared_probes(form, entries),
             transport="http",
         ) as batch_span:
             obs.count(
@@ -841,8 +911,16 @@ class EstimationServer:
             )
             try:
                 estimates, traces = await self._execute_batch(
-                    entries, tenant, request.get("on_error"), batch_span.context
+                    form,
+                    entries,
+                    tenant,
+                    request.get("on_error"),
+                    version=req_version,
+                    context=batch_span.context,
                 )
+            except protocol.WireCodecError as exc:
+                await _http_respond(writer, 400, {"error": str(exc)})
+                return
             except Exception as exc:
                 await _http_respond(
                     writer,
@@ -861,15 +939,18 @@ class EstimationServer:
         await _http_respond(writer, 200, payload)
 
 
+def _declared_probes(form: str, payload: object) -> object:
+    """The probe count a batch payload declares (a span tag, unvalidated)."""
+    return len(payload) if form == "probes" else payload.get("n")
+
+
 def _invalid_probe() -> Probe:
     """Placeholder for an undecodable wire entry.
 
     Never reaches an estimator — its admission verdict is always
     ``REASON_WIRE_DECODE`` — but keeps result-vector positions aligned.
     """
-    from repro.serve.service import EqualityProbe
-
-    return EqualityProbe(_INVALID_RELATION, _INVALID_RELATION, None)
+    return EqualityProbe(protocol.UNDECODABLE_NAME, protocol.UNDECODABLE_NAME, None)
 
 
 def _looks_like_http(first: bytes) -> bool:

@@ -85,6 +85,7 @@ SPAN_NAMES: tuple[str, ...] = (
     "agent.drain",
     "net.accept",
     "net.batch",
+    "net.decode",
     "net.stream",
     "net.client.batch",
 )

@@ -13,7 +13,7 @@ and batched results are bit-identical to the scalar paths.
 
 from __future__ import annotations
 
-from repro.serve.frame import ProbeFrame
+from repro.serve.frame import ProbeColumns, ProbeFrame
 from repro.serve.index import TreeBucketIndex
 from repro.serve.metrics import LATENCY_BUCKET_BOUNDS, PROBE_KINDS, ServiceMetrics
 from repro.serve.service import (
@@ -61,6 +61,7 @@ __all__ = [
     "EstimationService",
     "JoinProbe",
     "Probe",
+    "ProbeColumns",
     "ProbeFrame",
     "ProbeTrace",
     "RangeProbe",

@@ -3,18 +3,25 @@
 "Selectivity Estimation of Inequality Joins In Databases" (PAPERS.md)
 works on per-relation histograms held as plain arrays, with every
 operation a whole-column pass.  This module brings the same shape to the
-serving hot path: a heterogeneous probe batch is converted **once** into
-a :class:`ProbeFrame` — probes bucketed by (relation, attribute, kind)
-through index arrays, values/bounds pre-converted to numeric columns
-where possible — and :meth:`EstimationService.estimate_batch
-<repro.serve.service.EstimationService.estimate_batch>` then answers
-each group with one vectorized table call and scatters the results back
-by position.
+serving hot path in two steps:
 
-Building a frame is the only part of a batch that must walk Python
-objects (one attribute extraction per probe).  Callers with a stable
-probe workload can build the frame once with
-:meth:`ProbeFrame.from_probes` and pass it to ``estimate_batch``
+* a heterogeneous probe batch is held as :class:`ProbeColumns` — one
+  kind code per probe, interned relation/attribute names as index
+  columns, and per-kind value, bound and flag columns;
+* :class:`ProbeFrame` groups those columns **once** by (relation,
+  attribute, kind) through index arrays, with values/bounds
+  pre-converted to numeric columns where possible, and
+  :meth:`EstimationService.estimate_batch
+  <repro.serve.service.EstimationService.estimate_batch>` then answers
+  each group with one vectorized table call and scatters the results
+  back by position.
+
+Extracting the columns is the only part of a batch that walks Python
+probe objects (one attribute extraction per probe); the wire schema v3
+ships the columns themselves, so a server builds its frame with
+:meth:`ProbeFrame.from_columns` without materializing a probe per
+position.  Callers with a stable probe workload can build the frame once
+with :meth:`ProbeFrame.from_probes` and pass it to ``estimate_batch``
 repeatedly: every later call skips the grouping entirely and runs as a
 handful of numpy array operations per group.
 
@@ -24,6 +31,7 @@ them, so ``from repro.serve.service import EqualityProbe`` keeps working).
 
 from __future__ import annotations
 
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Optional, Sequence, Union
 
@@ -65,26 +73,32 @@ class JoinProbe:
 
 Probe = Union[EqualityProbe, RangeProbe, JoinProbe]
 
-_KIND_EQUALITY = 0
-_KIND_RANGE = 1
-_KIND_JOIN = 2
+#: Kind codes of :attr:`ProbeColumns.kinds` (also the wire v3 kind column).
+KIND_EQUALITY = 0
+KIND_RANGE = 1
+KIND_JOIN = 2
+_KIND_COUNT = 3
 
 #: Exact-type dispatch for the hot conversion loop; subclasses fall back
 #: to the isinstance path below (and are memoized here afterwards).
 _KIND_BY_TYPE: dict[type, int] = {
-    EqualityProbe: _KIND_EQUALITY,
-    RangeProbe: _KIND_RANGE,
-    JoinProbe: _KIND_JOIN,
+    EqualityProbe: KIND_EQUALITY,
+    RangeProbe: KIND_RANGE,
+    JoinProbe: KIND_JOIN,
 }
+
+#: One probe-value column: Python values, or a numeric array when every
+#: entry is a plain number (how wire v3 ships all-int / all-float columns).
+ValueColumn = Union[list, np.ndarray]
 
 
 def _kind_code(probe: object) -> int:
     if isinstance(probe, EqualityProbe):
-        code = _KIND_EQUALITY
+        code = KIND_EQUALITY
     elif isinstance(probe, RangeProbe):
-        code = _KIND_RANGE
+        code = KIND_RANGE
     elif isinstance(probe, JoinProbe):
-        code = _KIND_JOIN
+        code = KIND_JOIN
     else:
         raise TypeError(
             f"unsupported probe type {type(probe).__name__}; expected "
@@ -92,6 +106,190 @@ def _kind_code(probe: object) -> int:
         )
     _KIND_BY_TYPE[type(probe)] = code
     return code
+
+
+def _kinds_of(probes: list) -> np.ndarray:
+    try:
+        return np.fromiter(
+            map(_KIND_BY_TYPE.__getitem__, map(type, probes)),
+            dtype=np.uint8,
+            count=len(probes),
+        )
+    except KeyError:
+        # Unknown or subclassed probe type: resolve per probe (and
+        # memoize subclasses), raising the documented TypeError for
+        # anything that is not a probe at all.
+        return np.fromiter(map(_kind_code, probes), dtype=np.uint8, count=len(probes))
+
+
+class _NameTable(dict):
+    """Relation/attribute names interned in first-seen order (name -> id)."""
+
+    def ids(self, names: list) -> np.ndarray:
+        """The index column of *names*, interning the new ones."""
+        distinct = dict.fromkeys(names)
+        for name in distinct:
+            if name not in self:
+                self[name] = len(self)
+        if len(distinct) == 1:
+            return np.full(len(names), self[names[0]], dtype=np.int32)
+        return np.fromiter(
+            map(self.__getitem__, names), dtype=np.int32, count=len(names)
+        )
+
+
+def _flag_column(flags: list) -> np.ndarray:
+    """A boolean column (inclusivity flags are usually uniform)."""
+    if all(flags):
+        return np.ones(len(flags), dtype=bool)
+    if not any(flags):
+        return np.zeros(len(flags), dtype=bool)
+    return np.fromiter(map(bool, flags), dtype=bool, count=len(flags))
+
+
+def _entry(column: ValueColumn, index: int) -> object:
+    """One column entry as the Python value a probe would hold."""
+    if isinstance(column, np.ndarray):
+        return column[index].item()
+    return column[index]
+
+
+@dataclass(frozen=True, eq=False)
+class ProbeColumns:
+    """A probe batch as typed columns, in batch order.
+
+    The one shape both wire schema v3 and :class:`ProbeFrame` grouping
+    work from.  ``kinds`` holds one code per probe (``KIND_EQUALITY``,
+    ``KIND_RANGE``, ``KIND_JOIN``); ``rel``/``attr`` index ``names`` for
+    every probe (a join's left side).  The other columns hold one entry
+    per probe *of their kind*, in batch order: ``values`` for
+    equalities; ``lows``/``highs`` (``None`` = open) and the
+    ``include_low``/``include_high`` flags for ranges;
+    ``right_rel``/``right_attr`` for joins.  Value columns are Python
+    lists, or int64/float64 arrays when every entry is a plain number.
+    """
+
+    kinds: np.ndarray
+    names: list
+    rel: np.ndarray
+    attr: np.ndarray
+    values: ValueColumn
+    lows: ValueColumn
+    highs: ValueColumn
+    include_low: np.ndarray
+    include_high: np.ndarray
+    right_rel: np.ndarray
+    right_attr: np.ndarray
+
+    def __len__(self) -> int:
+        return int(self.kinds.size)
+
+    @classmethod
+    def from_probes(cls, probes: Sequence[Probe]) -> "ProbeColumns":
+        """Extract the columns of a probe sequence.
+
+        Raises ``TypeError`` for any element that is not an
+        ``EqualityProbe``, ``RangeProbe``, or ``JoinProbe``.
+        """
+        probe_list = probes if isinstance(probes, list) else list(probes)
+        n = len(probe_list)
+        kinds = _kinds_of(probe_list)
+        table = _NameTable()
+        rel = np.zeros(n, dtype=np.int32)
+        attr = np.zeros(n, dtype=np.int32)
+        values: ValueColumn = []
+        lows: ValueColumn = []
+        highs: ValueColumn = []
+        include_low = include_high = np.zeros(0, dtype=bool)
+        right_rel = right_attr = np.zeros(0, dtype=np.int32)
+        for kind, count in enumerate(np.bincount(kinds, minlength=_KIND_COUNT).tolist()):
+            if not count:
+                continue
+            if count == n:
+                where: Union[slice, np.ndarray] = slice(None)
+                subset = probe_list
+            else:
+                where = np.nonzero(kinds == kind)[0]
+                subset = [probe_list[i] for i in where.tolist()]
+            if kind == KIND_JOIN:
+                rel[where] = table.ids([p.left_relation for p in subset])
+                attr[where] = table.ids([p.left_attribute for p in subset])
+                right_rel = table.ids([p.right_relation for p in subset])
+                right_attr = table.ids([p.right_attribute for p in subset])
+                continue
+            rel[where] = table.ids([p.relation for p in subset])
+            attr[where] = table.ids([p.attribute for p in subset])
+            if kind == KIND_EQUALITY:
+                values = [p.value for p in subset]
+            else:
+                lows = [p.low for p in subset]
+                highs = [p.high for p in subset]
+                include_low = _flag_column([p.include_low for p in subset])
+                include_high = _flag_column([p.include_high for p in subset])
+        return cls(
+            kinds,
+            list(table),
+            rel,
+            attr,
+            values,
+            lows,
+            highs,
+            include_low,
+            include_high,
+            right_rel,
+            right_attr,
+        )
+
+
+class _ColumnProbes(SequenceABC):
+    """The probes of a column-built frame, rebuilt one at a time on demand.
+
+    Only cold paths read them (admission rejections and their traces), so
+    answering a frame built from columns never allocates a probe per
+    position.
+    """
+
+    def __init__(self, columns: ProbeColumns):
+        self._columns = columns
+        self._offsets: Optional[np.ndarray] = None
+
+    def __len__(self) -> int:
+        return len(self._columns)
+
+    def __getitem__(self, position: Union[int, slice]) -> Union[Probe, list]:
+        if isinstance(position, slice):
+            return [self[i] for i in range(*position.indices(len(self)))]
+        position = range(len(self))[position]
+        columns = self._columns
+        if self._offsets is None:
+            # Each position's index within its kind's columns.
+            offsets = np.zeros(len(columns), dtype=np.intp)
+            for kind in range(_KIND_COUNT):
+                mask = columns.kinds == kind
+                offsets[mask] = np.arange(np.count_nonzero(mask), dtype=np.intp)
+            self._offsets = offsets
+        offset = int(self._offsets[position])
+        names = columns.names
+        kind = int(columns.kinds[position])
+        relation = names[int(columns.rel[position])]
+        attribute = names[int(columns.attr[position])]
+        if kind == KIND_EQUALITY:
+            return EqualityProbe(relation, attribute, _entry(columns.values, offset))
+        if kind == KIND_RANGE:
+            return RangeProbe(
+                relation,
+                attribute,
+                _entry(columns.lows, offset),
+                _entry(columns.highs, offset),
+                include_low=bool(columns.include_low[offset]),
+                include_high=bool(columns.include_high[offset]),
+            )
+        return JoinProbe(
+            relation,
+            attribute,
+            names[int(columns.right_rel[offset])],
+            names[int(columns.right_attr[offset])],
+        )
 
 
 class EqualityGroup:
@@ -190,14 +388,6 @@ class JoinGroup:
         self.positions = positions
 
 
-def _intern(names: list) -> tuple[list, Optional[dict]]:
-    """Distinct names in first-occurrence order, plus a name -> id map."""
-    distinct = list(dict.fromkeys(names))
-    if len(distinct) == 1:
-        return distinct, None
-    return distinct, {name: i for i, name in enumerate(distinct)}
-
-
 def _group_slices(gids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(order, starts, ends) partitioning ``gids`` into equal-id runs."""
     order = np.argsort(gids, kind="stable")
@@ -208,149 +398,191 @@ def _group_slices(gids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return order, starts, ends
 
 
+def _pair_keys(
+    base: int, first: np.ndarray, second: np.ndarray
+) -> Optional[np.ndarray]:
+    """One int64 key per (first, second) id pair; ``None`` if all are equal."""
+    first_varies = bool(first.min() != first.max())
+    second_varies = bool(second.min() != second.max())
+    if not first_varies and not second_varies:
+        return None
+    if not first_varies:
+        return second.astype(np.int64)
+    keys = first.astype(np.int64)
+    if second_varies:
+        keys = keys * base + second
+    return keys
+
+
+def _first_seen(ids: list, heads: list) -> dict:
+    """Each id's earliest head offset (heads are per-run first offsets)."""
+    first: dict = {}
+    for ident, head in zip(ids, heads):
+        if first.get(ident, head) >= head:
+            first[ident] = head
+    return first
+
+
+def _ordered_runs(
+    keys: np.ndarray, rel: np.ndarray, attr: np.ndarray, *flags: np.ndarray
+) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
+    """``(order, runs)``: runs of equal ``keys`` in canonical group order.
+
+    Each run is ``(head, start, end)``: ``order[start:end]`` lists its
+    offsets, ascending, and ``head`` is the first of them.  Runs are
+    ordered by the first occurrence of their relation, then of their
+    attribute, then by *flags* (``False`` first).  The order does not
+    depend on how the name table was numbered, so a frame built from
+    wire columns emits its traces in the same order as one built from
+    the probe objects.
+    """
+    order, starts, ends = _group_slices(keys)
+    # A stable sort keeps each run ascending: its first entry is its head.
+    heads = order[starts]
+    head_list = heads.tolist()
+    rel_ids = rel[heads].tolist()
+    attr_ids = attr[heads].tolist()
+    rel_first = _first_seen(rel_ids, head_list)
+    attr_first = _first_seen(attr_ids, head_list)
+    flag_lists = [flag[heads].tolist() for flag in flags]
+    ranks = [
+        (rel_first[r], attr_first[a], *extra)
+        for r, a, *extra in zip(rel_ids, attr_ids, *flag_lists)
+    ]
+    # Ranks are distinct per run, so the sort never compares past them.
+    runs = sorted(zip(ranks, head_list, starts.tolist(), ends.tolist()))
+    return order, [(head, start, end) for _, head, start, end in runs]
+
+
+def _sorted_column(column: ValueColumn, order: np.ndarray) -> ValueColumn:
+    if isinstance(column, np.ndarray):
+        return column[order]
+    return [column[i] for i in order.tolist()]
+
+
 def _group_equalities(
-    probes: list, positions: np.ndarray
+    names: list,
+    rel: np.ndarray,
+    attr: np.ndarray,
+    values: ValueColumn,
+    positions: np.ndarray,
 ) -> list[EqualityGroup]:
-    rels = [p.relation for p in probes]
-    attrs = [p.attribute for p in probes]
-    values = [p.value for p in probes]
-    rel_names, rel_ids = _intern(rels)
-    attr_names, attr_ids = _intern(attrs)
-    if rel_ids is None and attr_ids is None:
-        arr = probe_code_array(values)
+    arr = probe_code_array(values)
+    keys = _pair_keys(len(names), rel, attr)
+    if keys is None:
         return [
             EqualityGroup(
-                rel_names[0],
-                attr_names[0],
+                names[rel[0]],
+                names[attr[0]],
                 positions,
                 values if arr is None else arr,
             )
         ]
-    n_attr = len(attr_names)
-    if rel_ids is None:
-        gids = np.fromiter(
-            map(attr_ids.__getitem__, attrs), dtype=np.int64, count=len(attrs)
+    order, runs = _ordered_runs(keys, rel, attr)
+    positions = positions[order]
+    values = _sorted_column(values if arr is None else arr, order)
+    return [
+        EqualityGroup(
+            names[rel[head]],
+            names[attr[head]],
+            positions[start:end],
+            values[start:end],
         )
+        for head, start, end in runs
+    ]
+
+
+def _range_group(
+    relation: str,
+    attribute: str,
+    include_low: bool,
+    include_high: bool,
+    positions: np.ndarray,
+    lows: ValueColumn,
+    highs: ValueColumn,
+) -> RangeGroup:
+    if isinstance(lows, np.ndarray) and isinstance(highs, np.ndarray):
+        # Numeric columns hold no open bound: the code columns are the
+        # bounds themselves (converted exactly as range_bound_arrays would).
+        bounds: tuple = (lows.astype(np.float64), highs.astype(np.float64), None, None)
+        lows, highs = lows.tolist(), highs.tolist()
     else:
-        gids = np.fromiter(
-            map(rel_ids.__getitem__, rels), dtype=np.int64, count=len(rels)
-        )
-        if attr_ids is not None:
-            gids *= n_attr
-            gids += np.fromiter(
-                map(attr_ids.__getitem__, attrs), dtype=np.int64, count=len(attrs)
-            )
-    order, starts, ends = _group_slices(gids)
-    positions_sorted = positions[order]
-    arr = probe_code_array(values)
-    values_sorted = arr[order] if arr is not None else None
-    order_list = order.tolist()
-    groups: list[EqualityGroup] = []
-    for start, end in zip(starts.tolist(), ends.tolist()):
-        # The run's first probe is its representative: the grouping key
-        # is constant within the run.
-        head = probes[order_list[start]]
-        if values_sorted is not None:
-            group_values: Union[np.ndarray, list] = values_sorted[start:end]
-        else:
-            group_values = [values[i] for i in order_list[start:end]]
-        groups.append(
-            EqualityGroup(
-                head.relation,
-                head.attribute,
-                positions_sorted[start:end],
-                group_values,
-            )
-        )
-    return groups
+        lows = lows.tolist() if isinstance(lows, np.ndarray) else lows
+        highs = highs.tolist() if isinstance(highs, np.ndarray) else highs
+        bounds = range_bound_arrays(lows, highs) or (None, None, None, None)
+    return RangeGroup(
+        relation, attribute, include_low, include_high, positions, lows, highs, *bounds
+    )
 
 
-def _group_ranges(probes: list, positions: np.ndarray) -> list[RangeGroup]:
-    rels = [p.relation for p in probes]
-    attrs = [p.attribute for p in probes]
-    lows = [p.low for p in probes]
-    highs = [p.high for p in probes]
-    incl_low = [p.include_low for p in probes]
-    incl_high = [p.include_high for p in probes]
-    rel_names, rel_ids = _intern(rels)
-    attr_names, attr_ids = _intern(attrs)
-    count = len(probes)
-    single_incl = all(incl_low) or not any(incl_low)
-    single_inch = all(incl_high) or not any(incl_high)
-    if rel_ids is None and attr_ids is None and single_incl and single_inch:
-        bounds = range_bound_arrays(lows, highs)
-        if bounds is None:
-            bounds = (None, None, None, None)
+def _group_ranges(
+    names: list,
+    rel: np.ndarray,
+    attr: np.ndarray,
+    lows: ValueColumn,
+    highs: ValueColumn,
+    include_low: np.ndarray,
+    include_high: np.ndarray,
+    positions: np.ndarray,
+) -> list[RangeGroup]:
+    keys = _pair_keys(len(names), rel, attr)
+    # Inclusivity bits are usually uniform across a workload; encode them
+    # into the group key only when they actually vary.
+    low_varies = bool(include_low.any()) and not bool(include_low.all())
+    high_varies = bool(include_high.any()) and not bool(include_high.all())
+    if keys is None and not low_varies and not high_varies:
         return [
-            RangeGroup(
-                rel_names[0],
-                attr_names[0],
-                bool(incl_low[0]),
-                bool(incl_high[0]),
+            _range_group(
+                names[rel[0]],
+                names[attr[0]],
+                bool(include_low[0]),
+                bool(include_high[0]),
                 positions,
                 lows,
                 highs,
-                *bounds,
             )
         ]
-    n_attr = len(attr_names)
-    if rel_ids is None:
-        gids = np.zeros(count, dtype=np.int64)
-    else:
-        gids = np.fromiter(
-            map(rel_ids.__getitem__, rels), dtype=np.int64, count=count
+    if keys is None:
+        keys = np.zeros(rel.size, dtype=np.int64)
+    if low_varies:
+        keys = keys * 2 + include_low
+    if high_varies:
+        keys = keys * 2 + include_high
+    order, runs = _ordered_runs(keys, rel, attr, include_low, include_high)
+    positions = positions[order]
+    lows = _sorted_column(lows, order)
+    highs = _sorted_column(highs, order)
+    return [
+        _range_group(
+            names[rel[head]],
+            names[attr[head]],
+            bool(include_low[head]),
+            bool(include_high[head]),
+            positions[start:end],
+            lows[start:end],
+            highs[start:end],
         )
-    if attr_ids is not None:
-        gids = gids * n_attr + np.fromiter(
-            map(attr_ids.__getitem__, attrs), dtype=np.int64, count=count
-        )
-    # Inclusivity bits are usually uniform across a workload; encode them
-    # into the group id only when they actually vary.
-    if not single_incl:
-        gids = gids * 2 + np.fromiter(incl_low, dtype=np.int64, count=count)
-    if not single_inch:
-        gids = gids * 2 + np.fromiter(incl_high, dtype=np.int64, count=count)
-    order, starts, ends = _group_slices(gids)
-    positions_sorted = positions[order]
-    order_list = order.tolist()
-    groups: list[RangeGroup] = []
-    for start, end in zip(starts.tolist(), ends.tolist()):
-        indices = order_list[start:end]
-        # The run's first probe is its representative: every encoded
-        # grouping key is constant within the run.
-        head = probes[indices[0]]
-        group_lows = [lows[i] for i in indices]
-        group_highs = [highs[i] for i in indices]
-        bounds = range_bound_arrays(group_lows, group_highs)
-        if bounds is None:
-            bounds = (None, None, None, None)
-        groups.append(
-            RangeGroup(
-                head.relation,
-                head.attribute,
-                bool(head.include_low),
-                bool(head.include_high),
-                positions_sorted[start:end],
-                group_lows,
-                group_highs,
-                *bounds,
-            )
-        )
-    return groups
+        for head, start, end in runs
+    ]
 
 
-def _group_joins(probes: list, positions: np.ndarray) -> list[JoinGroup]:
+def _group_joins(
+    names: list,
+    rel: np.ndarray,
+    attr: np.ndarray,
+    right_rel: np.ndarray,
+    right_attr: np.ndarray,
+    positions: np.ndarray,
+) -> list[JoinGroup]:
     buckets: dict[tuple, list[int]] = {}
-    for offset, probe in enumerate(probes):
-        key = (
-            probe.left_relation,
-            probe.left_attribute,
-            probe.right_relation,
-            probe.right_attribute,
-        )
+    keys = zip(rel.tolist(), attr.tolist(), right_rel.tolist(), right_attr.tolist())
+    for offset, key in enumerate(keys):
         buckets.setdefault(key, []).append(offset)
     return [
-        JoinGroup(*key, positions[np.asarray(offsets, dtype=np.intp)])
+        JoinGroup(
+            *(names[ident] for ident in key),
+            positions[np.asarray(offsets, dtype=np.intp)],
+        )
         for key, offsets in buckets.items()
     ]
 
@@ -358,16 +590,18 @@ def _group_joins(probes: list, positions: np.ndarray) -> list[JoinGroup]:
 class ProbeFrame:
     """A probe batch in columnar, pre-grouped form.
 
-    Construction walks the Python probe objects exactly once; answering a
+    Construction groups the batch's columns exactly once; answering a
     frame is then pure per-group array work, and the same frame can be
     answered repeatedly (each call returns a fresh result vector).
+    ``probes`` is the batch as a probe sequence: the caller's own list
+    for :meth:`from_probes`, rebuilt on demand for :meth:`from_columns`.
     """
 
     __slots__ = ("probes", "equality_groups", "range_groups", "join_groups", "_length")
 
     def __init__(
         self,
-        probes: list,
+        probes: Sequence[Probe],
         equality_groups: list[EqualityGroup],
         range_groups: list[RangeGroup],
         join_groups: list[JoinGroup],
@@ -394,44 +628,55 @@ class ProbeFrame:
     def from_probes(cls, probes: Union[Sequence[Probe], Iterable[Probe]]) -> "ProbeFrame":
         """Group a probe sequence into its columnar serving form.
 
-        Raises ``TypeError`` for any element that is not an
-        ``EqualityProbe``, ``RangeProbe``, or ``JoinProbe`` — the same
-        contract the per-probe dispatch loop used to enforce.
+        Extracts the batch's :class:`ProbeColumns`, then groups them as
+        :meth:`from_columns` does.  Raises ``TypeError`` for any element
+        that is not an ``EqualityProbe``, ``RangeProbe``, or ``JoinProbe``.
         """
         probe_list = probes if isinstance(probes, list) else list(probes)
-        n = len(probe_list)
-        if n == 0:
-            return cls(probe_list, [], [], [])
-        try:
-            kinds = np.fromiter(
-                map(_KIND_BY_TYPE.__getitem__, map(type, probe_list)),
-                dtype=np.uint8,
-                count=n,
-            )
-        except KeyError:
-            # Unknown or subclassed probe type: resolve per probe (and
-            # memoize subclasses), raising the documented TypeError for
-            # anything that is not a probe at all.
-            kinds = np.fromiter(
-                map(_kind_code, probe_list), dtype=np.uint8, count=n
-            )
-        counts = np.bincount(kinds, minlength=3)
-        equality_groups: list[EqualityGroup] = []
-        range_groups: list[RangeGroup] = []
-        join_groups: list[JoinGroup] = []
-        for kind, count in enumerate(counts.tolist()):
+        return cls._grouped(ProbeColumns.from_probes(probe_list), probe_list)
+
+    @classmethod
+    def from_columns(cls, columns: ProbeColumns) -> "ProbeFrame":
+        """Group a column-form batch without building its probe objects.
+
+        The columns must line up as :meth:`ProbeColumns.from_probes` and
+        :func:`~repro.net.protocol.columns_from_wire` build them (the
+        wire decoder is where outside input is checked).
+        """
+        return cls._grouped(columns, _ColumnProbes(columns))
+
+    @classmethod
+    def _grouped(cls, columns: ProbeColumns, probes: Sequence[Probe]) -> "ProbeFrame":
+        kinds = columns.kinds
+        n = kinds.size
+        names = columns.names
+        groups: list[list] = [[], [], []]
+        for kind, count in enumerate(np.bincount(kinds, minlength=_KIND_COUNT).tolist()):
             if not count:
                 continue
             if count == n:
                 positions = np.arange(n, dtype=np.intp)
-                subset = probe_list
+                rel, attr = columns.rel, columns.attr
             else:
                 positions = np.nonzero(kinds == kind)[0]
-                subset = [probe_list[i] for i in positions.tolist()]
-            if kind == _KIND_EQUALITY:
-                equality_groups = _group_equalities(subset, positions)
-            elif kind == _KIND_RANGE:
-                range_groups = _group_ranges(subset, positions)
+                rel, attr = columns.rel[positions], columns.attr[positions]
+            if kind == KIND_EQUALITY:
+                groups[kind] = _group_equalities(
+                    names, rel, attr, columns.values, positions
+                )
+            elif kind == KIND_RANGE:
+                groups[kind] = _group_ranges(
+                    names,
+                    rel,
+                    attr,
+                    columns.lows,
+                    columns.highs,
+                    columns.include_low,
+                    columns.include_high,
+                    positions,
+                )
             else:
-                join_groups = _group_joins(subset, positions)
-        return cls(probe_list, equality_groups, range_groups, join_groups)
+                groups[kind] = _group_joins(
+                    names, rel, attr, columns.right_rel, columns.right_attr, positions
+                )
+        return cls(probes, *groups)

@@ -153,6 +153,23 @@ def probe_code_array(values: Sequence[Hashable]) -> Optional[np.ndarray]:  # rep
     return arr
 
 
+def _bound_codes(
+    bounds: Sequence[Optional[Hashable]], open_code: float
+) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """One side's float64 codes and open-bound mask (raises if not numeric)."""
+    codes = np.asarray(bounds, dtype=np.float64)
+    # NumPy reads a None bound as NaN, so only a NaN code needs the exact
+    # pass that pins open bounds to ±inf and masks them.
+    if not np.isnan(codes).any():
+        return codes, None
+    codes = np.asarray(
+        [(open_code if v is None else v) for v in bounds], dtype=np.float64
+    )
+    if not any(v is None for v in bounds):
+        return codes, None
+    return codes, np.fromiter((v is None for v in bounds), dtype=bool, count=len(bounds))
+
+
 def range_bound_arrays(  # repolint: boundary-exempt — returning None *is* the rejection path
     lows: Sequence[Optional[Hashable]], highs: Sequence[Optional[Hashable]]
 ) -> Optional[tuple[np.ndarray, np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]]:
@@ -169,22 +186,10 @@ def range_bound_arrays(  # repolint: boundary-exempt — returning None *is* the
     the caller must fall back to the per-probe exact path.
     """
     try:
-        low_arr = np.asarray(
-            [(-np.inf if v is None else v) for v in lows], dtype=np.float64
-        )
-        high_arr = np.asarray(
-            [(np.inf if v is None else v) for v in highs], dtype=np.float64
-        )
+        low_arr, low_open = _bound_codes(lows, -np.inf)
+        high_arr, high_open = _bound_codes(highs, np.inf)
     except (TypeError, ValueError, OverflowError):
         return None
-    low_open = None
-    if any(v is None for v in lows):
-        low_open = np.fromiter((v is None for v in lows), dtype=bool, count=len(lows))
-    high_open = None
-    if any(v is None for v in highs):
-        high_open = np.fromiter(
-            (v is None for v in highs), dtype=bool, count=len(highs)
-        )
     return low_arr, high_arr, low_open, high_open
 
 

@@ -10,11 +10,13 @@ per-probe degradation, never as a dropped connection.
 from __future__ import annotations
 
 import asyncio
+import gc
 import http.client
 import json
 import math
 import socket
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -217,6 +219,54 @@ class TestStreaming:
             async_chunks = asyncio.run(drive())
             joined = np.concatenate([chunk for _, chunk in async_chunks])
             assert joined.tobytes() == local.tobytes()
+
+
+    def test_stream_decodes_each_chunk_once_and_keeps_none(self, service, monkeypatch):
+        """Each streamed slice is decoded exactly once and nothing in the
+        SDK holds on to it: once the consumer drops a slice, it is gone."""
+        probes = mixed_probes(50)
+        local = service.estimate_batch(probes)
+        decoded = []
+        real_decode = protocol.decode_estimates
+
+        def tracked_decode(wire):
+            out = real_decode(wire)
+            decoded.append(weakref.ref(out))
+            return out
+
+        monkeypatch.setattr(protocol, "decode_estimates", tracked_decode)
+
+        def consume(stream):
+            parts = []
+            for _, chunk in stream:
+                parts.append(chunk.copy())
+                del chunk
+                gc.collect()
+                assert all(ref() is None for ref in decoded), "a slice was retained"
+            return parts
+
+        async def consume_async(client):
+            parts = []
+            async for _, chunk in client.stream_batch(probes):
+                parts.append(chunk.copy())
+                del chunk
+                gc.collect()
+                assert all(ref() is None for ref in decoded), "a slice was retained"
+            return parts
+
+        async def drive_async(host, port):
+            async with AsyncEstimationClient(host, port) as client:
+                return await consume_async(client)
+
+        with serve_in_thread(service, chunk_probes=7) as handle:
+            host, port = handle.address
+            with EstimationClient(host, port) as client:
+                sync_parts = consume(client.stream_batch(probes))
+            assert len(decoded) == len(sync_parts) == 8
+            async_parts = asyncio.run(drive_async(host, port))
+            assert len(decoded) == 16
+        for parts in (sync_parts, async_parts):
+            assert np.concatenate(parts).tobytes() == local.tobytes()
 
 
 class TestAuthentication:
@@ -466,9 +516,14 @@ class TestInstrumentation:
             deadline -= 1
             time.sleep(0.05)
         names = {record.name for record in records}
-        assert {"net.accept", "net.batch", "net.stream"} <= names
+        assert {"net.accept", "net.batch", "net.decode", "net.stream"} <= names
         batch_span = next(r for r in records if r.name == "net.batch")
         assert dict(batch_span.tags)["tenant"] == "acme"
+        decode_span = next(r for r in records if r.name == "net.decode")
+        assert decode_span.parent_id == batch_span.span_id
+        assert decode_span.trace_id == batch_span.trace_id
+        tags = dict(decode_span.tags)
+        assert (tags["schema"], tags["probes"]) == (str(protocol.WIRE_SCHEMA_VERSION), "8")
         text = runtime.get_registry().to_prometheus()
         assert "repro_net_connections_total" in text
         assert "repro_net_batches_total" in text

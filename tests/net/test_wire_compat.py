@@ -1,19 +1,22 @@
-"""Wire schema v1 <-> v2 interop: old peers keep working, bit-identically.
+"""Wire schema interop: old peers keep working, bit-identically.
 
 The v2 bump adds exactly one optional field (``trace_context`` on batch
-requests).  The compatibility contract:
+requests); v3 adds the columnar batch form.  The compatibility contract:
 
 * an **old (v1) client** against a new server sees only v1-stamped
   frames — byte-for-byte what a v1 server would have sent — and its 10k
   mixed batch answers bit-identically to in-process estimation;
-* a **new client** against an old (v1-only) server downgrades via the
-  ``wire-version`` error frame, redoes the handshake at v1, and its 10k
-  mixed batch also round-trips bit-identically — with the
-  ``trace_context`` field *absent* from what it sends, never ``null``.
+* a **new client** against an old server steps down one version per
+  ``wire-version`` refusal, redoing the handshake each time, until the
+  server accepts: a v2 build is spoken to at v2 (row-form batches that
+  still carry ``trace_context``), a v1 build at v1 (the field *absent*
+  from what it sends, never ``null``) — and the 10k mixed batch
+  round-trips bit-identically either way, from both SDK flavors.
 """
 
 from __future__ import annotations
 
+import asyncio
 import socket
 import threading
 
@@ -24,8 +27,8 @@ from repro.core.biased import v_opt_bias_hist
 from repro.engine.analyze import analyze_relation
 from repro.engine.catalog import CatalogEntry, StatsCatalog
 from repro.engine.relation import Relation
-from repro.net import EstimationClient, protocol, serve_in_thread
-from repro.net.protocol import TRACE_CONTEXT_MIN_VERSION
+from repro.net import AsyncEstimationClient, EstimationClient, protocol, serve_in_thread
+from repro.net.protocol import TRACE_CONTEXT_MIN_VERSION, WIRE_SCHEMA_VERSION
 from repro.obs import runtime
 from repro.obs.tracing import clear_span_sinks
 from repro.serve import EstimationService
@@ -144,15 +147,17 @@ class TestOldClientNewServer:
 
 
 class OldServer:
-    """A v1-only server stub: the wire behavior of the previous build.
+    """An older-build server stub speaking only *versions* (default: v1).
 
-    Answers hello/batch/ping exactly as a v1 build would — including
-    refusing a v2 hello with a ``wire-version`` error frame — and
-    records every request frame so tests can assert what clients sent.
+    Answers hello/batch/ping exactly as such a build would — including
+    refusing any other hello version with a ``wire-version`` error frame
+    stamped with its oldest version — and records every request frame so
+    tests can assert what clients sent.
     """
 
-    def __init__(self, service):
+    def __init__(self, service, versions=frozenset({1})):
         self.service = service
+        self.versions = frozenset(versions)
         self.requests = []
         self._listener = socket.create_server(("127.0.0.1", 0))
         self.address = self._listener.getsockname()[:2]
@@ -196,21 +201,22 @@ class OldServer:
         if hello is None:
             return
         self.requests.append(hello)
-        if hello.get("v") != 1:
+        version = hello.get("v")
+        if version not in self.versions:
             conn.sendall(
                 protocol.encode_frame(
                     protocol.message(
                         "error",
-                        version=1,
+                        version=min(self.versions),
                         code="wire-version",
-                        detail=f"this build speaks [1], got {hello.get('v')!r}",
+                        detail=f"this build speaks {sorted(self.versions)}, got {version!r}",
                     )
                 )
             )
             return
         conn.sendall(
             protocol.encode_frame(
-                protocol.message("welcome", version=1, tenant="public", server="old")
+                protocol.message("welcome", version=version, tenant="public", server="old")
             )
         )
         while True:
@@ -218,9 +224,9 @@ class OldServer:
             if request is None:
                 return
             self.requests.append(request)
-            assert request.get("v") == 1, f"old server got v={request.get('v')!r}"
+            assert request.get("v") == version, f"old server got v={request.get('v')!r}"
             if request.get("op") == "ping":
-                conn.sendall(protocol.encode_frame(protocol.message("pong", version=1)))
+                conn.sendall(protocol.encode_frame(protocol.message("pong", version=version)))
                 continue
             assert request.get("op") == "batch"
             probes = protocol.probes_from_wire(request["probes"])
@@ -231,7 +237,7 @@ class OldServer:
                 protocol.encode_frame(
                     protocol.message(
                         "chunk",
-                        version=1,
+                        version=version,
                         id=request.get("id"),
                         start=0,
                         count=int(estimates.size),
@@ -240,6 +246,20 @@ class OldServer:
                     )
                 )
             )
+
+
+def _estimate_via(flavor, address, probes):
+    """(estimates, negotiated version) from one SDK flavor's 10k submit."""
+    if flavor == "sync":
+        with EstimationClient(*address) as client:
+            return client.estimate_batch(probes, on_error="fallback"), client.wire_version
+
+    async def drive():
+        async with AsyncEstimationClient(*address) as client:
+            out = await client.estimate_batch(probes, on_error="fallback")
+            return out, client.wire_version
+
+    return asyncio.run(drive())
 
 
 class TestNewClientOldServer:
@@ -261,6 +281,27 @@ class TestNewClientOldServer:
         assert post, "client never re-spoke at v1"
         assert all("trace_context" not in frame for frame in post)
         assert any(frame.get("op") == "batch" for frame in post)
+
+    @pytest.mark.parametrize("flavor", ["sync", "async"])
+    @pytest.mark.parametrize("versions, negotiated", [({1, 2}, 2), ({1}, 1)])
+    def test_step_down_one_version_at_a_time(self, service, flavor, versions, negotiated):
+        """A v2 build is spoken to at v2 (trace_context kept), a v1 build
+        at v1 (no trace_context); both answer the 10k batch bit-identically."""
+        probes = mixed_probes(10_000)
+        local = service.estimate_batch(probes, on_error="fallback")
+        old = OldServer(service, versions=versions)
+        try:
+            via_old, wire_version = _estimate_via(flavor, old.address, probes)
+        finally:
+            old.close()
+        assert wire_version == negotiated
+        assert via_old.tobytes() == local.tobytes()
+        hellos = [f["v"] for f in old.requests if f.get("op") == "hello"]
+        assert hellos == list(range(WIRE_SCHEMA_VERSION, negotiated - 1, -1))
+        batches = [f for f in old.requests if f.get("op") == "batch"]
+        assert batches and all(f["v"] == negotiated and "probes" in f for f in batches)
+        carries_context = negotiated >= TRACE_CONTEXT_MIN_VERSION
+        assert all(("trace_context" in f) == carries_context for f in batches)
 
     def test_trace_context_only_emitted_at_v2(self):
         from repro.obs.tracing import TraceContext

@@ -13,6 +13,7 @@ from repro.core.inequality import not_equals_join_size, range_join_size
 from repro.core.serial import v_opt_hist_dp
 from repro.core.successors import compressed_histogram, max_diff_histogram
 from repro.core.tensor import FrequencyTensor, tree_result_size
+from repro.sql.lexer import KEYWORDS
 
 frequencies = st.lists(
     st.floats(min_value=0.01, max_value=1e3, allow_nan=False, allow_infinity=False),
@@ -185,8 +186,7 @@ class TestTensorProperties:
 
 class TestSqlParserProperties:
     identifier = st.from_regex(r"[a-z][a-z0-9_]{0,8}", fullmatch=True).filter(
-        lambda s: s.upper()
-        not in {"SELECT", "FROM", "WHERE", "AND", "IN", "BETWEEN", "AS", "NOT", "COUNT"}
+        lambda s: s.upper() not in KEYWORDS
     )
 
     @given(identifier, identifier, st.integers(-1000, 1000))

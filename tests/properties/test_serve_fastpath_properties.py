@@ -25,7 +25,7 @@ from repro.serve import (
     ProbeFrame,
     RangeProbe,
 )
-from repro.serve.tables import CompiledCompact, CompiledHistogram
+from repro.serve.tables import CompiledCompact, CompiledHistogram, range_bound_arrays
 
 # ---------------------------------------------------------------------------
 # Adversarial value strategies
@@ -223,6 +223,41 @@ def _build_service():
 
 
 _SERVICE = _build_service()
+
+
+def _reference_bound_arrays(lows, highs):
+    """The per-bound reference: open bounds pinned to ±inf one by one."""
+    try:
+        low = np.asarray([(-np.inf if v is None else v) for v in lows], dtype=np.float64)
+        high = np.asarray([(np.inf if v is None else v) for v in highs], dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    low_open = np.array([v is None for v in lows]) if None in lows else None
+    high_open = np.array([v is None for v in highs]) if None in highs else None
+    return low, high, low_open, high_open
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    bounds=st.lists(
+        st.tuples(
+            st.one_of(range_bounds, st.just(float("nan")), st.just("x"), st.just(2**1100)),
+            st.one_of(range_bounds, st.just(float("nan"))),
+        ),
+        max_size=8,
+    )
+)
+def test_range_bound_arrays_match_the_per_bound_reference(bounds):
+    lows = [low for low, _ in bounds]
+    highs = [high for _, high in bounds]
+    got = range_bound_arrays(lows, highs)
+    want = _reference_bound_arrays(lows, highs)
+    assert (got is None) == (want is None)
+    if got is not None:
+        for mine, theirs in zip(got, want):
+            assert (mine is None) == (theirs is None)
+            if mine is not None:
+                assert mine.tobytes() == theirs.tobytes()
 
 
 @st.composite
