@@ -14,7 +14,6 @@ and batched results are bit-identical to the scalar paths.
 from __future__ import annotations
 
 from repro.serve.frame import ProbeColumns, ProbeFrame
-from repro.serve.index import TreeBucketIndex
 from repro.serve.metrics import LATENCY_BUCKET_BOUNDS, PROBE_KINDS, ServiceMetrics
 from repro.serve.service import (
     DEFAULT_EQ_SELECTIVITY,
@@ -67,7 +66,6 @@ __all__ = [
     "RangeProbe",
     "ServiceMetrics",
     "TableCompileError",
-    "TreeBucketIndex",
     "compile_compact",
     "compile_histogram",
 ]

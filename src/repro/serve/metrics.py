@@ -118,6 +118,11 @@ class ServiceMetrics:
         #: ``trace=`` hooks that raised and were swallowed (observer code
         #: must never fail the observed path).
         self.trace_hook_errors = 0
+        #: Two-way join products computed from compiled tables, and those
+        #: served again from a slot's stored product (partner version
+        #: unchanged).
+        self.join_products_computed = 0
+        self.join_products_reused = 0
         #: Batch-latency histogram aligned with ``LATENCY_BUCKET_BOUNDS``
         #: plus one unbounded tail bucket.
         self.latency_counts: list[int] = [0] * (len(LATENCY_BUCKET_BOUNDS) + 1)
@@ -197,6 +202,14 @@ class ServiceMetrics:
         """Count *count* ``trace=`` hook invocations that raised."""
         with self._lock:
             self.trace_hook_errors += count
+
+    def record_join_product(self, *, reused: bool) -> None:
+        """Count one join product, computed or served from a slot."""
+        with self._lock:
+            if reused:
+                self.join_products_reused += 1
+            else:
+                self.join_products_computed += 1
 
     def record_batch(self, *, failed: bool = False) -> None:
         """Count one ``estimate_batch`` call (served or failed)."""
@@ -285,6 +298,8 @@ class ServiceMetrics:
             "entries_quarantined": self.entries_quarantined,
             "journal_deltas_replayed": self.journal_deltas_replayed,
             "trace_hook_errors": self.trace_hook_errors,
+            "join_products_computed": self.join_products_computed,
+            "join_products_reused": self.join_products_reused,
         }
         for reason, count in sorted(self.degradation_reasons.items()):
             out[f"degraded[{reason}]"] = count
@@ -342,6 +357,19 @@ class ServiceMetrics:
                 help="fraction of table lookups served from cache",
             )
         )
+        for outcome, count in (
+            ("computed", frozen.join_products_computed),
+            ("reused", frozen.join_products_reused),
+        ):
+            samples.append(
+                Sample(
+                    name="repro_serve_join_products_total",
+                    labels=label_items + (("outcome", outcome),),
+                    value=float(count),
+                    kind="counter",
+                    help="two-way join products by outcome (computed or reused)",
+                )
+            )
         for kind in PROBE_KINDS:
             samples.append(
                 Sample(

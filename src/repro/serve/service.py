@@ -11,6 +11,9 @@ against the compiled state.  :class:`EstimationService` is that layer:
   catalog's version counters, so an ``ANALYZE`` or a maintenance publish
   invalidates exactly the stale tables, and concurrent reader threads
   never observe a half-built cache;
+* a two-way join product (Theorem 2.1) is compiled state too: the left
+  table's slot stores it per partner and partner version, so a repeated
+  join costs a dict lookup until either side is republished;
 * :meth:`EstimationService.estimate_batch` accepts arrays of equality /
   range / join probes and returns one numpy vector of cardinalities,
   vectorizing each (relation, attribute) group in a single pass.
@@ -66,7 +69,7 @@ import itertools
 import math
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Callable, Hashable, Iterable, Optional, Sequence, Union
 
@@ -87,6 +90,7 @@ from repro.serve.metrics import ServiceMetrics
 from repro.serve.tables import (
     CompiledCompact,
     CompiledHistogram,
+    _is_nan_like,
     compile_compact,
     compile_histogram,
     probe_code_array,
@@ -215,6 +219,9 @@ class _CompiledSlot:
     histogram_table: Optional[CompiledHistogram]
     stored_compact: Optional[CompiledCompact]
     join_compact: Optional[CompiledCompact]
+    #: Join products with this slot on the left: partner (relation,
+    #: attribute) -> (partner version, product).  One entry per partner.
+    joins: dict[tuple[str, str], tuple[int, float]] = field(default_factory=dict)
 
     @classmethod
     def from_entry(cls, entry: CatalogEntry) -> "_CompiledSlot":
@@ -1427,30 +1434,51 @@ class EstimationService:
         2. **Compact (end-biased) statistics** — explicit matches exactly;
            implicit remainders match under uniformity + containment.
         3. **Uniform assumption** — ``|L|·|R| / max(d_L, d_R)``.
+
+        The product is compiled state, like the tables it comes from: the
+        left slot keeps it per partner and serves it again until either
+        side's version moves.
         """
         left_slot = self._slot_for_entry(left)
         right_slot = self._slot_for_entry(right)
-        if (
-            left_slot.histogram_table is not None
-            and right_slot.histogram_table is not None
-        ):
-            return left_slot.histogram_table.join_with(right_slot.histogram_table)
-        left_compact = left_slot.join_compact
-        right_compact = right_slot.join_compact
-        if left_compact is None or right_compact is None:
-            distinct = max(left_slot.distinct_count, right_slot.distinct_count, 1)
-            return left_slot.total_tuples * right_slot.total_tuples / distinct
-        return self._join_compacts(left_compact, right_compact)
+        partner = (right.relation, right.attribute)
+        # No lock: a stored product is served only for the partner version
+        # it was computed against, so a racing store can cost a
+        # recomputation, never a stale answer.
+        stored = left_slot.joins.get(partner)
+        if stored is not None and stored[0] == right_slot.version:
+            self.metrics.record_join_product(reused=True)
+            return stored[1]
+        product = self._join_slots(left_slot, right_slot)
+        left_slot.joins[partner] = (right_slot.version, product)
+        self.metrics.record_join_product(reused=False)
+        return product
+
+    @classmethod
+    def _join_slots(cls, left: _CompiledSlot, right: _CompiledSlot) -> float:
+        """The join ladder of :meth:`join_entries` over two compiled slots."""
+        if left.histogram_table is not None and right.histogram_table is not None:
+            return left.histogram_table.join_with(right.histogram_table)
+        if left.join_compact is None or right.join_compact is None:
+            distinct = max(left.distinct_count, right.distinct_count, 1)
+            return left.total_tuples * right.total_tuples / distinct
+        return cls._join_compacts(left.join_compact, right.join_compact)
 
     @staticmethod
     def _join_compacts(left: CompiledCompact, right: CompiledCompact) -> float:
+        # NaN is not a domain value: it joins nothing, explicitly or
+        # through the partner's remainder (as in CompiledHistogram.join_with).
         total = 0.0
         for value, freq in left.explicit_items():
+            if _is_nan_like(value):
+                continue
             if right.has_explicit(value):
                 total += freq * right.frequency(value)
             elif right.remainder_count > 0:
                 total += freq * right.remainder_average
         for value, freq in right.explicit_items():
+            if _is_nan_like(value):
+                continue
             if not left.has_explicit(value) and left.remainder_count > 0:
                 total += freq * left.remainder_average
         common_remainder = min(left.remainder_count, right.remainder_count)
@@ -1588,16 +1616,6 @@ class EstimationService:
                 f"{len(probes)} probes; they must align"
             )
         return verdicts
-
-    def _answer_batch(
-        self,
-        probes: Union[Sequence[Probe], ProbeFrame],
-        policy: str,
-        trace: Optional[TraceHook],
-        admission: Optional[AdmissionHook] = None,
-    ) -> np.ndarray:
-        frame = probes if isinstance(probes, ProbeFrame) else ProbeFrame.from_probes(probes)
-        return self._answer_frame(frame, policy, trace, admission)
 
     def _answer_frame(
         self,

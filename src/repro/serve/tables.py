@@ -11,11 +11,7 @@ average`` dict on every call; this module compiles each value-aware histogram
   column aligned with the sorted order);
 * ``prefix`` — exclusive prefix sums of ``approx``, so any range selection is
   two binary searches and one subtraction (Section 6 reduces ranges to
-  disjunctive equality selections — a contiguous slice of the sorted domain);
-* above :data:`~repro.serve.index.TREE_INDEX_MIN_SIZE` codes, a
-  :class:`~repro.serve.index.TreeBucketIndex` so range/inequality position
-  lookups go through a two-level fence tree instead of one flat binary
-  search over every bucketed value.
+  disjunctive equality selections — a contiguous slice of the sorted domain).
 
 The legacy ``value -> approximation`` dict is retained only as the **exact
 fallback** for domains the float64 fast path cannot represent faithfully
@@ -59,7 +55,6 @@ from typing import TYPE_CHECKING, Hashable, Iterable, Optional, Sequence
 import numpy as np
 
 from repro.obs.tracing import span
-from repro.serve.index import TREE_INDEX_MIN_SIZE, TreeBucketIndex
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.core.histogram import Histogram
@@ -210,7 +205,6 @@ class CompiledHistogram:
         "_codes",
         "_approx",
         "_prefix",
-        "_tree",
         "_numeric",
         "_orderable",
     )
@@ -229,7 +223,6 @@ class CompiledHistogram:
         self._by_value = by_value
         self._numeric = False
         self._codes = None
-        self._tree = None
         approx_sorted: Optional[np.ndarray] = None
         if _is_numeric_domain(by_value) and _codes_are_lossless(by_value):
             try:
@@ -258,8 +251,6 @@ class CompiledHistogram:
                         [ordered[int(i)][1] for i in order], dtype=np.float64
                     )
                     self._orderable = True
-                    if sorted_codes.size >= TREE_INDEX_MIN_SIZE:
-                        self._tree = TreeBucketIndex(sorted_codes)
         if not self._numeric:
             try:
                 self._sorted_values = sorted(by_value)
@@ -326,20 +317,9 @@ class CompiledHistogram:
         """True when the domain is mutually comparable (ranges answerable)."""
         return self._orderable
 
-    @property
-    def bucket_index(self) -> Optional[TreeBucketIndex]:
-        """The tree-like bucket index, when the domain is large enough."""
-        return self._tree
-
     def as_mapping(self) -> dict[Hashable, float]:
         """A fresh ``value -> approximation`` dict (legacy-compatible view)."""
         return dict(self._by_value)
-
-    def _positions(self, codes: np.ndarray, side: str) -> np.ndarray:
-        """Sorted-code insertion positions, through the tree when built."""
-        if self._tree is not None:
-            return self._tree.searchsorted(codes, side=side)
-        return np.searchsorted(self._codes, codes, side=side)
 
     # ------------------------------------------------------------------
     # Equality
@@ -365,7 +345,7 @@ class CompiledHistogram:
         size = self._codes.size
         if size == 0:
             return np.zeros(codes.size, dtype=np.float64)
-        pos = self._positions(codes, "left")
+        pos = np.searchsorted(self._codes, codes)
         clipped = np.minimum(pos, size - 1)
         hit = (pos < size) & (self._codes[clipped] == codes)
         out = np.where(hit, self._approx[clipped], 0.0)
@@ -522,8 +502,12 @@ class CompiledHistogram:
                 bounds = range_bound_arrays(lows, highs)
             if bounds is not None:
                 low_arr, high_arr, low_open, high_open = bounds
-                lo = self._positions(low_arr, "left" if include_low else "right")
-                hi = self._positions(high_arr, "right" if include_high else "left")
+                lo = np.searchsorted(
+                    self._codes, low_arr, side="left" if include_low else "right"
+                )
+                hi = np.searchsorted(
+                    self._codes, high_arr, side="right" if include_high else "left"
+                )
                 # An open bound is the prefix endpoint itself — not the
                 # ±inf searchsorted, which lands short of trailing NaN
                 # (or, side-dependent, ±inf) codes.
@@ -597,7 +581,6 @@ class CompiledCompact:
         "_explicit",
         "_codes",
         "_freqs",
-        "_tree",
         "_numeric",
         "remainder_count",
         "remainder_average",
@@ -619,7 +602,6 @@ class CompiledCompact:
         self._numeric = False
         self._codes = None
         self._freqs = None
-        self._tree = None
         if (
             self._explicit
             and _is_numeric_domain(self._explicit)
@@ -643,8 +625,6 @@ class CompiledCompact:
                     self._numeric = True
                     self._codes = sorted_codes
                     self._freqs = freqs[order]
-                    if sorted_codes.size >= TREE_INDEX_MIN_SIZE:
-                        self._tree = TreeBucketIndex(sorted_codes)
 
     @classmethod
     def from_compact(cls, compact: "CompactEndBiased") -> "CompiledCompact":
@@ -712,11 +692,7 @@ class CompiledCompact:
             if arr is not None:
                 codes = arr.astype(np.float64, copy=False)
                 size = self._codes.size
-                pos = (
-                    self._tree.searchsorted(codes, side="left")
-                    if self._tree is not None
-                    else np.searchsorted(self._codes, codes)
-                )
+                pos = np.searchsorted(self._codes, codes)
                 clipped = np.minimum(pos, size - 1)
                 hit = (pos < size) & (self._codes[clipped] == codes)
                 out = np.where(hit, self._freqs[clipped], miss)

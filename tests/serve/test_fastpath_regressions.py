@@ -18,13 +18,16 @@ reintroduction fails loudly:
 3. **NaN scalar/batch divergence** — ``equality(nan)`` could hit the
    dict through object identity (``hash(nan)`` is id-based on CPython)
    while the batched ``searchsorted`` always missed; ``CompiledCompact``
-   handed NaN the remainder bucket.  NaN probes are 0-mass everywhere.
+   handed NaN the remainder bucket, and the compact join let an explicit
+   NaN join the partner's remainder.  NaN probes are 0-mass everywhere,
+   and NaN domain values join nothing.
 """
 
 import numpy as np
 import pytest
 
-from repro.serve import EstimationService
+from repro.engine.catalog import CatalogEntry, CompactEndBiased, StatsCatalog
+from repro.serve import EstimationService, JoinProbe
 from repro.serve.service import REASON_UNHASHABLE_VALUE
 from repro.serve.tables import CompiledCompact, CompiledHistogram
 
@@ -180,3 +183,26 @@ class TestNaNDivergence:
         batch = table.equality_batch(probes)
         scalar = [table.equality(v) for v in probes]
         assert np.array_equal(batch, np.asarray(scalar))
+
+    @pytest.mark.parametrize("right_nan", ["none", "same-object", "distinct-object"])
+    def test_compact_join_nan_joins_nothing(self, right_nan):
+        nan = float("nan")
+        right = {2: 7.0}
+        if right_nan != "none":
+            right[nan if right_nan == "same-object" else float("nan")] = 9.0
+        catalog = StatsCatalog()
+        for relation, explicit, count, average in (
+            ("L", {nan: 50.0, 1: 10.0}, 3, 2.0),
+            ("R", right, 4, 5.0),
+        ):
+            compact = CompactEndBiased(explicit, count, average)
+            catalog.put(
+                CatalogEntry(relation, "a", "sampled", None, compact, 8, compact.total)
+            )
+        # Old behaviour: 344.0 with NaN on the left only (it took the
+        # right remainder); with NaN on both sides 94.0 for one shared
+        # object and 362.0 for two, so the answer hung on object identity.
+        scalar = EstimationService(catalog).estimate_join("L", "a", "R", "a")
+        batch = EstimationService(catalog).estimate_batch([JoinProbe("L", "a", "R", "a")])
+        assert scalar == 94.0
+        assert np.array_equal(batch, np.asarray([94.0]))

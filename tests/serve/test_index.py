@@ -1,148 +1,41 @@
-"""Tests for repro.serve.index — the tree-like bucket index.
+"""Large compiled tables: batched lookups stay bit-identical to scalar ones.
 
-The index is a layout, not a semantic: ``TreeBucketIndex.searchsorted``
-must be **bit-identical** to ``np.searchsorted`` over the same codes for
-both sides, including NaN probes, NaN codes, duplicates, and empty
-inputs.  Compiled tables swap it in silently above
-``TREE_INDEX_MIN_SIZE``, so any divergence here would silently corrupt
-large-domain estimates.
+Tables of 4096 codes and more once searched a separate tree-shaped bucket
+index; every table now calls ``np.searchsorted`` on its own sorted codes.
+The test below keeps its name from that layout and pins what it guarded:
+at that size, batched equality and range estimates agree exactly with the
+scalar path, and the scalar path with the histogram itself.
 """
 
 import numpy as np
-import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.serve.index import (
-    DEFAULT_FANOUT,
-    TREE_INDEX_MIN_SIZE,
-    TreeBucketIndex,
-)
-from repro.serve.tables import compile_histogram
 from repro.core.biased import v_opt_bias_hist
-
-
-def assert_matches_numpy(codes, probes, fanout=DEFAULT_FANOUT):
-    codes = np.asarray(codes, dtype=np.float64)
-    probes = np.asarray(probes, dtype=np.float64)
-    index = TreeBucketIndex(codes, fanout=fanout)
-    for side in ("left", "right"):
-        expected = np.searchsorted(codes, probes, side=side)
-        got = index.searchsorted(probes, side=side)
-        assert np.array_equal(got, expected), (
-            f"side={side} fanout={fanout} codes[:8]={codes[:8]} "
-            f"probes[:8]={probes[:8]}"
-        )
-
-
-class TestTreeBucketIndex:
-    def test_small_sorted_domain(self):
-        assert_matches_numpy([1.0, 2.0, 5.0, 9.0], [-1.0, 1.0, 3.0, 9.0, 99.0])
-
-    def test_empty_codes(self):
-        assert_matches_numpy([], [0.0, 1.0])
-
-    def test_empty_probes(self):
-        assert_matches_numpy([1.0, 2.0], [])
-
-    def test_duplicate_codes_both_sides(self):
-        codes = np.repeat(np.arange(100, dtype=np.float64), 5)
-        probes = np.asarray([-1.0, 0.0, 0.5, 50.0, 99.0, 100.0])
-        assert_matches_numpy(codes, probes, fanout=8)
-
-    def test_exact_fanout_multiple(self):
-        codes = np.arange(64 * 4, dtype=np.float64)
-        assert_matches_numpy(codes, codes, fanout=64)
-
-    def test_ragged_tail_chunk(self):
-        codes = np.arange(64 * 4 + 17, dtype=np.float64)
-        probes = codes[::3] + 0.5
-        assert_matches_numpy(codes, probes, fanout=64)
-
-    def test_nan_probes_sort_last(self):
-        codes = np.arange(300, dtype=np.float64)
-        probes = np.asarray([np.nan, 5.0, np.nan, -np.inf, np.inf])
-        assert_matches_numpy(codes, probes, fanout=16)
-
-    def test_nan_codes(self):
-        # numpy sorts NaN after every other float; the fence layout must
-        # reproduce its answers over such (sorted) code arrays too.
-        codes = np.concatenate([np.arange(200.0), [np.nan, np.nan]])
-        probes = np.asarray([-1.0, 100.0, 250.0, np.nan])
-        assert_matches_numpy(codes, probes, fanout=16)
-
-    def test_inf_endpoints(self):
-        codes = np.concatenate([[-np.inf], np.arange(100.0), [np.inf]])
-        probes = np.asarray([-np.inf, -1.0, 50.0, np.inf])
-        assert_matches_numpy(codes, probes, fanout=8)
-
-    def test_large_domain_default_fanout(self):
-        gen = np.random.default_rng(7)
-        codes = np.sort(gen.normal(size=10_000))
-        probes = gen.normal(size=2_000)
-        assert_matches_numpy(codes, probes)
-
-    def test_negative_zero(self):
-        assert_matches_numpy([-1.0, 0.0, 1.0], [-0.0, 0.0])
-
-    def test_rejects_bad_side(self):
-        with pytest.raises(ValueError, match="side"):
-            TreeBucketIndex(np.arange(4.0)).searchsorted([1.0], side="middle")
-
-    def test_rejects_bad_fanout(self):
-        with pytest.raises(ValueError, match="fanout"):
-            TreeBucketIndex(np.arange(4.0), fanout=1)
-
-    def test_rejects_2d_codes(self):
-        with pytest.raises(ValueError, match="one-dimensional"):
-            TreeBucketIndex(np.zeros((2, 2)))
-
-    def test_properties(self):
-        index = TreeBucketIndex(np.arange(130.0), fanout=64)
-        assert index.size == 130
-        assert index.fanout == 64
-        assert index.fence_count == 2  # codes[63], codes[127]; tail unfenced
+from repro.serve.tables import compile_histogram
 
 
 class TestCompiledTableIntegration:
-    def test_small_table_has_no_tree(self):
-        hist = v_opt_bias_hist([5.0, 3.0, 1.0], 2, values=[1, 2, 3])
-        assert compile_histogram(hist).bucket_index is None
-
     def test_large_table_builds_tree_and_stays_bit_identical(self):
-        n = TREE_INDEX_MIN_SIZE
+        n = 4096
         freqs = [float(f) for f in range(n, 0, -1)]
         hist = v_opt_bias_hist(freqs, 8, values=list(range(n)))
         table = compile_histogram(hist)
-        assert table.bucket_index is not None
-        flat = np.searchsorted(
-            np.arange(n, dtype=np.float64),
-            np.asarray([-1.0, 0.0, n / 2, n - 1.0, n + 5.0]),
-        )
-        got = table.bucket_index.searchsorted(
-            np.asarray([-1.0, 0.0, n / 2, n - 1.0, n + 5.0])
-        )
-        assert np.array_equal(got, flat)
-        # And the estimates themselves agree with the scalar path.
+        assert table.domain_size == n
+
         probes = [0, 17, n // 2, n - 1, n, -3]
         batch = table.equality_batch(probes)
         scalar = [table.equality(v) for v in probes]
         assert np.array_equal(batch, np.asarray(scalar))
+        for value in (0, 17, n // 2, n - 1):
+            assert table.equality(value) == hist.approx_of_value(value)
 
-
-finite_or_special = st.floats(allow_nan=True, allow_infinity=True, width=64)
-
-
-@settings(max_examples=120, deadline=None)
-@given(
-    codes=st.lists(
-        st.floats(allow_nan=False, allow_infinity=True, width=64),
-        min_size=0,
-        max_size=200,
-    ),
-    probes=st.lists(finite_or_special, min_size=0, max_size=50),
-    fanout=st.sampled_from([2, 3, 8, 64]),
-)
-def test_property_bit_identical_to_numpy(codes, probes, fanout):
-    codes = np.sort(np.asarray(codes, dtype=np.float64))
-    assert_matches_numpy(codes, probes, fanout=fanout)
+        lows = [-1, 0, n // 2, None, n - 1]
+        highs = [5, n // 3, None, 17, n + 5]
+        for include in (True, False):
+            batch = table.range_batch(
+                lows, highs, include_low=include, include_high=include
+            )
+            scalar = [
+                table.range_sum(lo, hi, include_low=include, include_high=include)
+                for lo, hi in zip(lows, highs)
+            ]
+            assert np.array_equal(batch, np.asarray(scalar))

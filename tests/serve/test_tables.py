@@ -22,6 +22,15 @@ def numeric_hist():
 
 
 @pytest.fixture
+def large_hist():
+    # 4096 codes: a domain as large as the perfbench ``bulk`` tables.
+    n = 4096
+    return v_opt_bias_hist(
+        [float(f) for f in range(n, 0, -1)], 8, values=list(range(n))
+    )
+
+
+@pytest.fixture
 def string_hist():
     return v_opt_bias_hist([6.0, 3.0, 1.0], 2, values=["a", "b", "c"])
 
@@ -58,12 +67,16 @@ class TestEquality:
     def test_unhashable_probe_zero(self, numeric_hist):
         assert compile_histogram(numeric_hist).equality([1, 2]) == 0.0
 
-    def test_batch_matches_scalar_exactly(self, numeric_hist):
-        table = compile_histogram(numeric_hist)
-        probes = [10, 99, 30, -5, 50, 20]
-        batch = table.equality_batch(probes)
-        scalar = [table.equality(v) for v in probes]
-        assert np.array_equal(batch, np.asarray(scalar))
+    def test_batch_matches_scalar_exactly(self, numeric_hist, large_hist):
+        n = 4096
+        for hist, probes in (
+            (numeric_hist, [10, 99, 30, -5, 50, 20]),
+            (large_hist, [0, 17, n // 2, n - 1, n, -3]),
+        ):
+            table = compile_histogram(hist)
+            batch = table.equality_batch(probes)
+            scalar = [table.equality(v) for v in probes]
+            assert np.array_equal(batch, np.asarray(scalar))
 
     def test_batch_generic_domain(self, string_hist):
         table = compile_histogram(string_hist)
@@ -106,13 +119,16 @@ class TestRanges:
     def test_inverted_range_zero(self, numeric_hist):
         assert compile_histogram(numeric_hist).range_sum(40, 20) == 0.0
 
-    def test_batch_matches_scalar_bitwise(self, numeric_hist):
-        table = compile_histogram(numeric_hist)
-        lows = [10, None, 35, 50, 40]
-        highs = [30, 25, None, 10, 20]
-        batch = table.range_batch(lows, highs)
-        scalar = [table.range_sum(lo, hi) for lo, hi in zip(lows, highs)]
-        assert np.array_equal(batch, np.asarray(scalar))
+    def test_batch_matches_scalar_bitwise(self, numeric_hist, large_hist):
+        n = 4096
+        for hist, lows, highs in (
+            (numeric_hist, [10, None, 35, 50, 40], [30, 25, None, 10, 20]),
+            (large_hist, [-1, 0, n // 2, None, n - 1], [5, n // 3, None, 17, n + 5]),
+        ):
+            table = compile_histogram(hist)
+            batch = table.range_batch(lows, highs)
+            scalar = [table.range_sum(lo, hi) for lo, hi in zip(lows, highs)]
+            assert np.array_equal(batch, np.asarray(scalar))
 
     def test_string_domain_ranges(self, string_hist):
         table = compile_histogram(string_hist)
@@ -179,11 +195,14 @@ class TestCompiledCompact:
         assert compile_compact(compact).total == pytest.approx(40 + 25 + 4 * 2.5)
 
     def test_batch_matches_scalar(self, compact):
-        table = compile_compact(compact)
-        probes = [100, 7, 200, -1]
-        batch = table.frequency_batch(probes)
-        scalar = [table.frequency(v) for v in probes]
-        assert np.array_equal(batch, np.asarray(scalar))
+        large = CompiledCompact({v: float(v % 7) for v in range(4096)}, 3, 1.5)
+        for table, probes in (
+            (compile_compact(compact), [100, 7, 200, -1]),
+            (large, [0, 17, 2048, 4095, 4096, -3]),
+        ):
+            batch = table.frequency_batch(probes)
+            scalar = [table.frequency(v) for v in probes]
+            assert np.array_equal(batch, np.asarray(scalar))
 
     def test_batch_without_domain_assumption(self, compact):
         table = compile_compact(compact)
