@@ -62,6 +62,7 @@ from repro.serve.frame import (
     KIND_RANGE,
     ProbeColumns,
     ValueColumn,
+    value_column,
 )
 from repro.serve.service import (
     EqualityProbe,
@@ -500,18 +501,25 @@ def _tagged_column(values: Sequence[Any]) -> dict:
     }
 
 
-def _values_to_wire(values: list) -> dict:
+def _values_to_wire(values: ValueColumn) -> dict:
     """One value column: a raw int64/float64 array when it can be, else tagged.
 
-    A column is raw when every non-``None`` entry is a plain ``int``
-    within int64 or every one is a finite ``float``; ``None`` entries
-    then ride a ``null`` mask.  Refuses NaN/±inf and unsupported types
-    exactly as :func:`encode_value` does.
+    Typed columns (see :func:`~repro.serve.frame.value_column`) ship as
+    they are.  A list ships raw when every non-``None`` entry is a plain
+    ``int`` within int64 or every one is a finite ``float``, its
+    ``None`` entries riding a ``null`` mask, and tagged otherwise.
+    Refuses NaN/±inf and unsupported types exactly as
+    :func:`encode_value` does.
     """
+    if isinstance(values, np.ndarray):
+        dtype = "<f8" if values.dtype.kind == "f" else "<i8"
+        if dtype == "<f8" and not np.isfinite(values).all():
+            _tagged_column(values.tolist())  # raises encode_value's WireCodecError
+        return _encode_array(values, dtype)
     present = set(map(type, values))
     has_null = type(None) in present
     present.discard(type(None))
-    # An empty or all-None column rides as int64 under its null mask.
+    # An all-None column rides as int64 under its null mask.
     dtype = _VALUE_DTYPES.get(present.pop() if present else int)
     if dtype is None or present:  # non-numeric, or a mix of types
         return _tagged_column(values)
@@ -576,7 +584,11 @@ def _column_array(wire: dict, field: str, dtype: str, count: int) -> np.ndarray:
 def _values_from_wire(
     wire: dict, field: str, count: int
 ) -> tuple[ValueColumn, Optional[np.ndarray]]:
-    """One value column plus the mask of its undecodable entries (or None)."""
+    """One value column plus the mask of its undecodable entries (or None).
+
+    The column follows :func:`~repro.serve.frame.value_column`, as
+    :meth:`ProbeColumns.from_probes` does.
+    """
     column = wire.get(field)
     if not isinstance(column, dict):
         raise WireCodecError(f"columns.{field} must be an object")
@@ -597,7 +609,7 @@ def _values_from_wire(
                 if failed is None:
                     failed = np.zeros(count, dtype=bool)
                 failed[index] = True
-        return values, failed
+        return value_column(values), failed
     if dtype not in _VALUE_DTYPES.values():
         raise WireCodecError(f"columns.{field} has unknown dtype {dtype!r}")
     array = _column_array(wire, field, dtype, count)
@@ -607,7 +619,7 @@ def _values_from_wire(
     values = array.tolist()
     for index in np.nonzero(nulls)[0].tolist():
         values[index] = None
-    return values, None
+    return value_column(values), None
 
 
 def _bad_ids(ids: np.ndarray, valid: np.ndarray) -> np.ndarray:

@@ -31,8 +31,14 @@ One :class:`EstimationServer` wraps one in-process
   ``net.stream`` spans, and per-tenant labeled counters in the default
   metric registry (``repro_net_batches_total{tenant=...}`` and friends).
 
-The CPU-bound estimation itself runs on the default executor so slow
-batches never stall the event loop's accept path.
+What runs where: the event-loop thread parses each request's JSON,
+decodes its probes (per entry at v1/v2; at v3 ``columns_from_wire`` and
+``ProbeFrame.from_columns``) and computes the admission masks; only
+``estimate_batch`` runs on the default executor, and the result is
+encoded and streamed back on the loop.  A batch's decode therefore
+holds the loop — other connections' frames and accepts wait behind it —
+and on 2000-probe equality/range batches it costs about twice the
+answer (see docs/NETWORK.md).
 """
 
 from __future__ import annotations
@@ -605,14 +611,15 @@ class EstimationServer:
         batch: _DecodedBatch,
         tenant_name: str,
         on_error: Optional[str],
+        want_traces: bool,
         context: Optional[TraceContext] = None,
-    ) -> tuple[np.ndarray, list[ProbeTrace]]:
+    ) -> tuple[np.ndarray, Optional[list[ProbeTrace]]]:
         """Answer the decoded batch through the shared service (executor)."""
         # Re-attach the request's trace on this executor thread so the
         # service's serve.batch span parents to our net.batch span.
         token = tracing.attach(context) if context is not None else None
         try:
-            return self._run_batch_traced(batch, tenant_name, on_error)
+            return self._run_batch_traced(batch, tenant_name, on_error, want_traces)
         finally:
             if context is not None:
                 tracing.detach(token)
@@ -622,13 +629,15 @@ class EstimationServer:
         batch: _DecodedBatch,
         tenant_name: str,
         on_error: Optional[str],
-    ) -> tuple[np.ndarray, list[ProbeTrace]]:
-        traces: list[ProbeTrace] = []
+        want_traces: bool,
+    ) -> tuple[np.ndarray, Optional[list[ProbeTrace]]]:
+        # Trace records are built only for a request that asked for them.
+        traces: Optional[list[ProbeTrace]] = [] if want_traces else None
         verdicts = batch.verdicts
         estimates = self.service.estimate_batch(
             batch.probes,
             on_error=on_error,
-            trace=traces.append,
+            trace=None if traces is None else traces.append,
             admission=None if verdicts is None else lambda probes: verdicts,
         )
         obs.count(
@@ -652,17 +661,24 @@ class EstimationServer:
         payload: object,
         tenant: _TenantState,
         on_error: Optional[str],
+        want_traces: bool,
         *,
         version: int,
         context: Optional[TraceContext] = None,
-    ) -> tuple[np.ndarray, list[ProbeTrace]]:
+    ) -> tuple[np.ndarray, Optional[list[ProbeTrace]]]:
         batch = self._decode_batch(
             form, payload, tenant, version=version, context=context
         )
         loop = asyncio.get_running_loop()
         try:
             return await loop.run_in_executor(
-                None, self._run_batch, batch, tenant.config.name, on_error, context
+                None,
+                self._run_batch,
+                batch,
+                tenant.config.name,
+                on_error,
+                want_traces,
+                context,
             )
         finally:
             self._release_pending(batch, tenant)
@@ -681,7 +697,6 @@ class EstimationServer:
             await self._send_protocol_error(writer, version, request_id, exc)
             return
         on_error = request.get("on_error")
-        want_traces = bool(request.get("traces"))
         # Detached span (concurrent tasks share this thread) joining the
         # client's trace when the request carried one.
         context = self._request_trace_context(request, tenant)
@@ -703,6 +718,7 @@ class EstimationServer:
                     payload,
                     tenant,
                     on_error,
+                    bool(request.get("traces")),
                     version=version,
                     context=batch_span.context,
                 )
@@ -731,7 +747,7 @@ class EstimationServer:
                 writer,
                 request_id,
                 estimates,
-                traces if want_traces else None,
+                traces,
                 version=version,
                 context=batch_span.context,
             )
@@ -915,6 +931,7 @@ class EstimationServer:
                     entries,
                     tenant,
                     request.get("on_error"),
+                    bool(request.get("traces")),
                     version=req_version,
                     context=batch_span.context,
                 )
@@ -934,7 +951,7 @@ class EstimationServer:
             count=int(estimates.size),
             estimates=protocol.encode_estimates(estimates),
         )
-        if request.get("traces"):
+        if traces is not None:
             payload["traces"] = [protocol.trace_to_wire(t) for t in traces]
         await _http_respond(writer, 200, payload)
 

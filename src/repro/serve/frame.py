@@ -31,6 +31,8 @@ them, so ``from repro.serve.service import EqualityProbe`` keeps working).
 
 from __future__ import annotations
 
+import itertools
+import operator
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Optional, Sequence, Union
@@ -110,32 +112,54 @@ def _kind_code(probe: object) -> int:
 
 def _kinds_of(probes: list) -> np.ndarray:
     try:
-        return np.fromiter(
-            map(_KIND_BY_TYPE.__getitem__, map(type, probes)),
-            dtype=np.uint8,
-            count=len(probes),
-        )
+        codes = bytes(map(_KIND_BY_TYPE.__getitem__, map(type, probes)))
     except KeyError:
         # Unknown or subclassed probe type: resolve per probe (and
         # memoize subclasses), raising the documented TypeError for
         # anything that is not a probe at all.
-        return np.fromiter(map(_kind_code, probes), dtype=np.uint8, count=len(probes))
+        codes = bytes(map(_kind_code, probes))
+    return np.frombuffer(codes, dtype=np.uint8)
 
 
 class _NameTable(dict):
     """Relation/attribute names interned in first-seen order (name -> id)."""
 
+    def __missing__(self, name: Hashable) -> int:
+        ident = self[name] = len(self)
+        return ident
+
     def ids(self, names: list) -> np.ndarray:
-        """The index column of *names*, interning the new ones."""
-        distinct = dict.fromkeys(names)
-        for name in distinct:
-            if name not in self:
-                self[name] = len(self)
-        if len(distinct) == 1:
-            return np.full(len(names), self[names[0]], dtype=np.int32)
+        """The index column of *names*, interning each new one on first sight."""
+        first = names[0]
+        # A column holding one name object skips the lookups.  Identity
+        # never calls a name's __eq__, so an unhashable name still fails
+        # its lookup with TypeError, and a mixed column stops at once.
+        if all(map(operator.is_, names, itertools.repeat(first))):
+            return np.full(len(names), self[first], dtype=np.int32)
         return np.fromiter(
             map(self.__getitem__, names), dtype=np.int32, count=len(names)
         )
+
+
+def value_column(values: list) -> ValueColumn:  # repolint: boundary-exempt — every list is a column; untyped ones pass through
+    """The one typing rule of probe-value and range-bound columns.
+
+    An int64 array when every entry is a plain ``int`` within int64 (so
+    an empty column too), a float64 array when every entry is a plain
+    ``float``, and the list as given otherwise (``None`` bounds, bools,
+    strings, mixed numbers, ints beyond int64).
+    :meth:`ProbeColumns.from_probes` and the wire v3 decoder both apply
+    it, so the two paths yield equal columns.
+    """
+    present = set(map(type, values))
+    if present <= {int}:
+        try:
+            return np.array(values, dtype=np.int64)
+        except OverflowError:
+            return values
+    if present == {float}:
+        return np.array(values, dtype=np.float64)
+    return values
 
 
 def _flag_column(flags: list) -> np.ndarray:
@@ -165,8 +189,10 @@ class ProbeColumns:
     per probe *of their kind*, in batch order: ``values`` for
     equalities; ``lows``/``highs`` (``None`` = open) and the
     ``include_low``/``include_high`` flags for ranges;
-    ``right_rel``/``right_attr`` for joins.  Value columns are Python
-    lists, or int64/float64 arrays when every entry is a plain number.
+    ``right_rel``/``right_attr`` for joins.  Value and bound columns
+    follow :func:`value_column`: int64 or float64 arrays when every
+    entry is a plain ``int`` within int64 or every entry a plain
+    ``float``, Python lists otherwise.
     """
 
     kinds: np.ndarray
@@ -197,9 +223,7 @@ class ProbeColumns:
         table = _NameTable()
         rel = np.zeros(n, dtype=np.int32)
         attr = np.zeros(n, dtype=np.int32)
-        values: ValueColumn = []
-        lows: ValueColumn = []
-        highs: ValueColumn = []
+        values = lows = highs = value_column([])
         include_low = include_high = np.zeros(0, dtype=bool)
         right_rel = right_attr = np.zeros(0, dtype=np.int32)
         for kind, count in enumerate(np.bincount(kinds, minlength=_KIND_COUNT).tolist()):
@@ -220,10 +244,10 @@ class ProbeColumns:
             rel[where] = table.ids([p.relation for p in subset])
             attr[where] = table.ids([p.attribute for p in subset])
             if kind == KIND_EQUALITY:
-                values = [p.value for p in subset]
+                values = value_column([p.value for p in subset])
             else:
-                lows = [p.low for p in subset]
-                highs = [p.high for p in subset]
+                lows = value_column([p.low for p in subset])
+                highs = value_column([p.high for p in subset])
                 include_low = _flag_column([p.include_low for p in subset])
                 include_high = _flag_column([p.include_high for p in subset])
         return cls(
@@ -389,7 +413,10 @@ class JoinGroup:
 
 
 def _group_slices(gids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(order, starts, ends) partitioning ``gids`` into equal-id runs."""
+    """(order, starts, ends) partitioning non-negative ``gids`` into equal-id runs."""
+    # NumPy's stable sort is a radix sort for integers of 16 bits or
+    # less, so the keys are narrowed to the smallest dtype holding them.
+    gids = gids.astype(np.min_scalar_type(int(gids.max())), copy=False)
     order = np.argsort(gids, kind="stable")
     sorted_gids = gids[order]
     cuts = np.nonzero(sorted_gids[1:] != sorted_gids[:-1])[0] + 1
@@ -424,8 +451,8 @@ def _first_seen(ids: list, heads: list) -> dict:
 
 
 def _ordered_runs(
-    keys: np.ndarray, rel: np.ndarray, attr: np.ndarray, *flags: np.ndarray
-) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
+    keys: Optional[np.ndarray], rel: np.ndarray, attr: np.ndarray, *flags: np.ndarray
+) -> tuple[Optional[np.ndarray], list[tuple[int, int, int]]]:
     """``(order, runs)``: runs of equal ``keys`` in canonical group order.
 
     Each run is ``(head, start, end)``: ``order[start:end]`` lists its
@@ -434,8 +461,11 @@ def _ordered_runs(
     attribute, then by *flags* (``False`` first).  The order does not
     depend on how the name table was numbered, so a frame built from
     wire columns emits its traces in the same order as one built from
-    the probe objects.
+    the probe objects.  ``keys=None`` means one run of the whole column,
+    already in order (``order`` is then ``None``).
     """
+    if keys is None:
+        return None, [(0, 0, rel.size)]
     order, starts, ends = _group_slices(keys)
     # A stable sort keeps each run ascending: its first entry is its head.
     heads = order[starts]
@@ -454,7 +484,9 @@ def _ordered_runs(
     return order, [(head, start, end) for _, head, start, end in runs]
 
 
-def _sorted_column(column: ValueColumn, order: np.ndarray) -> ValueColumn:
+def _sorted_column(column: ValueColumn, order: Optional[np.ndarray]) -> ValueColumn:
+    if order is None:
+        return column
     if isinstance(column, np.ndarray):
         return column[order]
     return [column[i] for i in order.tolist()]
@@ -468,18 +500,8 @@ def _group_equalities(
     positions: np.ndarray,
 ) -> list[EqualityGroup]:
     arr = probe_code_array(values)
-    keys = _pair_keys(len(names), rel, attr)
-    if keys is None:
-        return [
-            EqualityGroup(
-                names[rel[0]],
-                names[attr[0]],
-                positions,
-                values if arr is None else arr,
-            )
-        ]
-    order, runs = _ordered_runs(keys, rel, attr)
-    positions = positions[order]
+    order, runs = _ordered_runs(_pair_keys(len(names), rel, attr), rel, attr)
+    positions = _sorted_column(positions, order)
     values = _sorted_column(values if arr is None else arr, order)
     return [
         EqualityGroup(
@@ -490,29 +512,6 @@ def _group_equalities(
         )
         for head, start, end in runs
     ]
-
-
-def _range_group(
-    relation: str,
-    attribute: str,
-    include_low: bool,
-    include_high: bool,
-    positions: np.ndarray,
-    lows: ValueColumn,
-    highs: ValueColumn,
-) -> RangeGroup:
-    if isinstance(lows, np.ndarray) and isinstance(highs, np.ndarray):
-        # Numeric columns hold no open bound: the code columns are the
-        # bounds themselves (converted exactly as range_bound_arrays would).
-        bounds: tuple = (lows.astype(np.float64), highs.astype(np.float64), None, None)
-        lows, highs = lows.tolist(), highs.tolist()
-    else:
-        lows = lows.tolist() if isinstance(lows, np.ndarray) else lows
-        highs = highs.tolist() if isinstance(highs, np.ndarray) else highs
-        bounds = range_bound_arrays(lows, highs) or (None, None, None, None)
-    return RangeGroup(
-        relation, attribute, include_low, include_high, positions, lows, highs, *bounds
-    )
 
 
 def _group_ranges(
@@ -530,40 +529,43 @@ def _group_ranges(
     # into the group key only when they actually vary.
     low_varies = bool(include_low.any()) and not bool(include_low.all())
     high_varies = bool(include_high.any()) and not bool(include_high.all())
-    if keys is None and not low_varies and not high_varies:
-        return [
-            _range_group(
-                names[rel[0]],
-                names[attr[0]],
-                bool(include_low[0]),
-                bool(include_high[0]),
-                positions,
-                lows,
-                highs,
-            )
-        ]
-    if keys is None:
-        keys = np.zeros(rel.size, dtype=np.int64)
-    if low_varies:
-        keys = keys * 2 + include_low
-    if high_varies:
-        keys = keys * 2 + include_high
+    if low_varies or high_varies:
+        keys = np.zeros(rel.size, dtype=np.int64) if keys is None else keys
+        if low_varies:
+            keys = keys * 2 + include_low
+        if high_varies:
+            keys = keys * 2 + include_high
     order, runs = _ordered_runs(keys, rel, attr, include_low, include_high)
-    positions = positions[order]
+    positions = _sorted_column(positions, order)
     lows = _sorted_column(lows, order)
     highs = _sorted_column(highs, order)
-    return [
-        _range_group(
-            names[rel[head]],
-            names[attr[head]],
-            bool(include_low[head]),
-            bool(include_high[head]),
-            positions[start:end],
-            lows[start:end],
-            highs[start:end],
+    numeric = isinstance(lows, np.ndarray) and isinstance(highs, np.ndarray)
+    if numeric:
+        # Numeric columns hold no open bound: the code columns are the
+        # bounds themselves (converted exactly as range_bound_arrays would).
+        low_codes, high_codes = lows.astype(np.float64), highs.astype(np.float64)
+    lows = lows.tolist() if isinstance(lows, np.ndarray) else lows
+    highs = highs.tolist() if isinstance(highs, np.ndarray) else highs
+    groups = []
+    for head, start, end in runs:
+        group_lows, group_highs = lows[start:end], highs[start:end]
+        if numeric:
+            bounds: tuple = (low_codes[start:end], high_codes[start:end], None, None)
+        else:
+            bounds = range_bound_arrays(group_lows, group_highs) or (None, None, None, None)
+        groups.append(
+            RangeGroup(
+                names[rel[head]],
+                names[attr[head]],
+                bool(include_low[head]),
+                bool(include_high[head]),
+                positions[start:end],
+                group_lows,
+                group_highs,
+                *bounds,
+            )
         )
-        for head, start, end in runs
-    ]
+    return groups
 
 
 def _group_joins(
@@ -574,16 +576,28 @@ def _group_joins(
     right_attr: np.ndarray,
     positions: np.ndarray,
 ) -> list[JoinGroup]:
-    buckets: dict[tuple, list[int]] = {}
-    keys = zip(rel.tolist(), attr.tolist(), right_rel.tolist(), right_attr.tolist())
-    for offset, key in enumerate(keys):
-        buckets.setdefault(key, []).append(offset)
+    """One group per distinct join key, in first-occurrence order."""
+    base = len(names)
+    # Each side's (relation, attribute) pair, ranked densely so the
+    # combined key stays below count**2 however many names there are.
+    _, left = np.unique(rel.astype(np.int64) * base + attr, return_inverse=True)
+    _, right = np.unique(right_rel.astype(np.int64) * base + right_attr, return_inverse=True)
+    order, starts, ends = _group_slices(left * (int(right.max()) + 1) + right)
+    # A stable sort keeps each run ascending: its first entry is its head.
+    heads = order[starts]
+    rank = np.argsort(heads)
+    heads = heads[rank]
+    positions = positions[order]
     return [
-        JoinGroup(
-            *(names[ident] for ident in key),
-            positions[np.asarray(offsets, dtype=np.intp)],
+        JoinGroup(names[r], names[a], names[rr], names[ra], positions[start:end])
+        for r, a, rr, ra, start, end in zip(
+            rel[heads].tolist(),
+            attr[heads].tolist(),
+            right_rel[heads].tolist(),
+            right_attr[heads].tolist(),
+            starts[rank].tolist(),
+            ends[rank].tolist(),
         )
-        for key, offsets in buckets.items()
     ]
 
 

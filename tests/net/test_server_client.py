@@ -340,6 +340,74 @@ class TestAdmission:
                     assert sorted(t.position for t in rejected) == list(range(4, 10))
                     assert out.shape == (10,)
 
+    @pytest.mark.parametrize("transport", ["sdk", "http"])
+    def test_trace_records_only_when_the_request_asks(self, catalog, monkeypatch, transport):
+        """A quota-rejected batch sent without ``traces`` hands the service
+        no trace hook, yet answers and counts exactly as one sent with
+        ``traces``, whose records equal the in-process ones."""
+        tenants = [TenantConfig(name="acme", token="tok", max_probes_per_batch=5)]
+        probes = mixed_probes(8)
+        verdicts = [None] * 5 + [REASON_QUOTA_EXCEEDED] * 3
+        local_traces = []
+        local = EstimationService(catalog).estimate_batch(
+            probes, trace=local_traces.append, admission=lambda batch: verdicts
+        )
+        runs = {}
+        for traced in (False, True):
+            service = EstimationService(catalog)
+            hooks = []
+            answer = service.estimate_batch
+
+            def spy(batch, *, answer=answer, hooks=hooks, **kwargs):
+                hooks.append(kwargs.get("trace"))
+                return answer(batch, **kwargs)
+
+            monkeypatch.setattr(service, "estimate_batch", spy)
+            with serve_in_thread(service, tenants=tenants) as handle:
+                if transport == "sdk":
+                    traces = []
+                    with EstimationClient(*handle.address, token="tok") as client:
+                        out = client.estimate_batch(
+                            probes, trace=traces.append if traced else None
+                        )
+                else:
+                    request = protocol.columns_request(
+                        protocol.probes_to_columns(probes),
+                        request_id=1,
+                        want_traces=traced,
+                    )
+                    conn = http.client.HTTPConnection(*handle.address, timeout=10)
+                    conn.request(
+                        "POST",
+                        "/v1/batch",
+                        body=json.dumps(request),
+                        headers={"Authorization": "Bearer tok"},
+                    )
+                    response = conn.getresponse()
+                    assert response.status == 200
+                    payload = json.loads(response.read())
+                    conn.close()
+                    out = protocol.decode_estimates(payload["estimates"])
+                    assert ("traces" in payload) is traced
+                    traces = [protocol.trace_from_wire(t) for t in payload.get("traces", [])]
+            counters = {
+                key: value
+                for key, value in service.stats().as_dict().items()
+                if not key.startswith("latency[") and key != "compile_seconds"
+            }
+            runs[traced] = (out.tobytes(), counters)
+            assert len(hooks) == 1
+            assert (hooks[0] is not None) is traced
+            if traced:
+                assert [trace_key(t) for t in traces] == [
+                    trace_key(t) for t in local_traces
+                ]
+            else:
+                assert traces == []
+        assert runs[False] == runs[True]
+        assert runs[True][0] == local.tobytes()
+        assert runs[True][1]["rejected[quota-exceeded]"] == 3
+
     def test_rejections_surface_in_service_metrics(self, service):
         tenants = [
             TenantConfig(name="acme", token="tok", max_probes_per_batch=1)

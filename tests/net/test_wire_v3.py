@@ -19,6 +19,7 @@ from __future__ import annotations
 import asyncio
 import base64
 import copy
+import dataclasses
 import http.client
 import json
 import socket
@@ -46,10 +47,18 @@ from repro.net.client import BatchCall, join_chunks
 from repro.net.server import _TenantState
 from repro.obs import runtime
 from repro.obs.tracing import clear_span_sinks
-from repro.serve import EqualityProbe, EstimationService, JoinProbe, ProbeFrame, RangeProbe
+from repro.serve import (
+    EqualityProbe,
+    EstimationService,
+    JoinProbe,
+    ProbeColumns,
+    ProbeFrame,
+    RangeProbe,
+)
 from repro.serve.service import REASON_BACKPRESSURE, REASON_QUOTA_EXCEEDED
 
 from tests.net.test_server_client import mixed_probes, trace_key
+from tests.properties.test_frame_grouping_properties import column_key
 
 
 def build_service():
@@ -241,12 +250,23 @@ def test_v3_equals_v2_equals_in_process(shared, probes, on_error):
         assert [trace_key(t) for t in traces] == expected, f"v{version}"
 
 
+def assert_same_columns(left, right):
+    assert left.names == right.names
+    for field in dataclasses.fields(ProbeColumns):
+        if field.name != "names":
+            got, want = getattr(left, field.name), getattr(right, field.name)
+            assert column_key(got) == column_key(want), field.name
+
+
 @settings(PROPERTY, max_examples=40)
 @given(probes=mixed_batches())
 def test_columns_round_trip_through_json_to_the_same_frame(probes):
     wire = json.loads(json.dumps(protocol.probes_to_columns(probes), allow_nan=False))
     columns, failed = protocol.columns_from_wire(wire)
     assert not failed.any()
+    # One typing rule on both paths: the extracted columns equal the
+    # decoded ones field by field, dtype included.
+    assert_same_columns(ProbeColumns.from_probes(probes), columns)
     assert list(ProbeFrame.from_columns(columns).probes) == probes
 
 
@@ -280,18 +300,43 @@ def test_v3_encoder_refuses_exactly_what_v2_refuses(values, kinds):
     assert outcomes[0] == outcomes[1]
 
 
+@pytest.mark.parametrize("name", [["R"], np.array([1, 2]), np.array(["R"])])
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_unhashable_names_are_refused(name, position):
+    probes = [EqualityProbe("R", "a", 1), EqualityProbe("R", "a", 2), EqualityProbe("R", "a", 3)]
+    probes[position] = EqualityProbe(name, "a", 1)
+    with pytest.raises(WireCodecError, match="unhashable"):
+        protocol.probes_to_columns(probes)
+
+
 def test_typed_columns_only_for_plain_numbers():
     def dtypes(probes):
         wire = protocol.probes_to_columns(probes)
         return wire["value"]["dtype"], wire["low"]["dtype"], "null" in wire["low"]
 
+    def in_process(probes):
+        columns = ProbeColumns.from_probes(probes)
+        return tuple(
+            str(column.dtype) if isinstance(column, np.ndarray) else "list"
+            for column in (columns.values, columns.lows)
+        )
+
     ints = [EqualityProbe("R", "a", 2**62), RangeProbe("R", "a", None, 3)]
     assert dtypes(ints) == ("<i8", "<i8", True)
+    assert in_process(ints) == ("int64", "list")
     floats = [EqualityProbe("R", "a", -0.0), RangeProbe("R", "a", 0.5, 3)]
     assert dtypes(floats) == ("<f8", "<f8", False)
+    assert in_process(floats) == ("float64", "float64")
+    # An empty column is an int64 array, as the decoder yields it.
+    assert in_process([RangeProbe("R", "a", 0.5, 3.0)]) == ("int64", "float64")
     assert dtypes([EqualityProbe("R", "a", 2**63)])[0] == "tagged"
+    assert in_process([EqualityProbe("R", "a", 2**63)])[0] == "list"
     assert dtypes([EqualityProbe("R", "a", True)])[0] == "tagged"
-    assert dtypes([EqualityProbe("R", "a", 1), EqualityProbe("R", "a", 1.0)])[0] == "tagged"
+    assert in_process([EqualityProbe("R", "a", True)])[0] == "list"
+    mixed = [EqualityProbe("R", "a", 1), EqualityProbe("R", "a", 1.0)]
+    assert dtypes(mixed)[0] == "tagged"
+    assert in_process(mixed)[0] == "list"
+    assert in_process([EqualityProbe("R", "a", np.int64(3))])[0] == "list"
 
 
 # ---------------------------------------------------------------------------
