@@ -158,12 +158,18 @@ def _cmd_table1(args) -> int:
     )
     rows = construction_timing_table(config)
     table = [
-        [r.set_size, r.serial_seconds.get(3), r.serial_seconds.get(5), r.end_biased_seconds]
+        [
+            r.set_size,
+            r.serial_seconds.get(3),
+            r.serial_seconds.get(5),
+            r.end_biased_seconds,
+            r.serial_dp_seconds,
+        ]
         for r in rows
     ]
     print(
         format_table(
-            ["attribute values", "serial b=3", "serial b=5", "end-biased b=10"],
+            ["attribute values", "serial b=3", "serial b=5", "end-biased b=10", "serial DP b=10"],
             table,
             precision=5,
         )

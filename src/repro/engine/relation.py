@@ -37,15 +37,20 @@ class Relation:
     def from_columns(
         cls, name: str, columns: dict[str, Sequence]
     ) -> "Relation":
-        """Build a relation from parallel column sequences."""
+        """Build a relation from parallel column sequences.
+
+        The rows are built in one pass without :meth:`insert`'s per-row
+        check, which cannot fail here: the schema has no types, and the
+        equal-length check already fixes every row's arity.
+        """
         if not columns:
             raise ValueError("at least one column is required")
         lengths = {len(values) for values in columns.values()}
         if len(lengths) != 1:
             raise ValueError(f"columns must have equal lengths, got {lengths}")
-        schema = Schema([Attribute(column_name) for column_name in columns])
-        rows = zip(*columns.values())
-        return cls(name, schema, rows)
+        relation = cls(name, Schema([Attribute(column_name) for column_name in columns]))
+        relation._rows = list(zip(*columns.values()))
+        return relation
 
     @classmethod
     def from_distribution(

@@ -219,7 +219,8 @@ class EstimationServer:
                 TenantConfig(name="public", token="-")
             )
         self._server: Optional[asyncio.base_events.Server] = None
-        self._connections = 0
+        # Live connection handlers; stop() cancels and awaits them.
+        self._handlers: set[asyncio.Task] = set()
         # Ops surface state: named readiness checks (deep /v1/ready) and
         # the bounded recent-span buffer behind /v1/tracez.  The deque is
         # appended from whatever thread finishes a span (append is
@@ -262,10 +263,19 @@ class EstimationServer:
         return address
 
     async def stop(self) -> None:
-        """Stop accepting and close the listening sockets."""
+        """Stop accepting, end every open connection, close the sockets.
+
+        Connection handlers are cancelled and awaited before
+        ``wait_closed()``, which on Python 3.12 waits for open connections;
+        a handler left pending would be destroyed with its loop.  A
+        cancelled batch releases its tenant's pending probes on the way out.
+        """
         if self._server is None:
             return
         self._server.close()
+        for task in self._handlers:
+            task.cancel()
+        await asyncio.gather(*self._handlers, return_exceptions=True)
         await self._server.wait_closed()
         self._server = None
         if self._tracez_sink_installed:
@@ -368,7 +378,8 @@ class EstimationServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        self._connections += 1
+        task = asyncio.current_task()
+        self._handlers.add(task)
         obs.count("repro_net_connections_total", server=self.name)
         try:
             # Detached span: connections are concurrent tasks on one
@@ -391,12 +402,18 @@ class EstimationServer:
             # A peer that vanishes or talks garbage mid-frame cannot be
             # answered; everything answerable was already answered.
             pass
+        except asyncio.CancelledError:
+            # Only stop() cancels a handler.  The task ends normally so
+            # that start_server's done-callback (Python 3.11) does not log
+            # the cancellation as an unhandled exception.
+            pass
         finally:
             writer.close()
             try:
                 await writer.wait_closed()
-            except (ConnectionError, OSError):
+            except (ConnectionError, OSError, asyncio.CancelledError):
                 pass
+            self._handlers.discard(task)
 
     async def _read_frame(
         self, reader: asyncio.StreamReader, *, prefix: Optional[bytes] = None

@@ -6,6 +6,8 @@ import pytest
 from repro.core.serial import (
     AUTO_EXHAUSTIVE_LIMIT,
     all_serial_histograms,
+    dp_contiguous_partition,
+    dp_sorted_partition,
     enumerate_serial_partitions,
     serial_error_from_sizes,
     serial_partition_count,
@@ -200,3 +202,23 @@ class TestDpContiguousPartition:
         from repro.core.serial import dp_contiguous_partition
 
         assert dp_contiguous_partition(np.array([3.0, 1.0, 2.0]), 3) == (1, 1, 1)
+
+
+class TestDpSortedPartition:
+    @pytest.mark.parametrize("beta", [1, 2, 5, 16])
+    def test_either_direction_matches_general_dp(self, zipf_medium, beta):
+        ordered = np.sort(np.asarray(zipf_medium, dtype=np.float64))
+        for order in (ordered[::-1], ordered):
+            assert dp_sorted_partition(order, beta) == dp_contiguous_partition(order, beta)
+
+    def test_unsorted_input_refused(self):
+        with pytest.raises(ValueError, match="sorted"):
+            dp_sorted_partition(np.array([1.0, 3.0, 2.0]), 2)
+
+    def test_too_many_buckets_refused(self):
+        with pytest.raises(ValueError, match="buckets"):
+            dp_sorted_partition(np.array([3.0, 1.0]), 3)
+
+    def test_overflowing_squares_refused(self):
+        with pytest.raises(ValueError, match="overflow"):
+            v_opt_hist_dp([1e200, 1e200, 1.0], 2)

@@ -26,9 +26,24 @@ class TestConstruction:
         assert worksfor.cardinality == 6
         assert worksfor.schema.names == ("ename", "dname", "year")
 
+    @pytest.mark.parametrize("as_array", [False, True])
+    def test_from_columns_equals_validated_construction(self, as_array):
+        columns = {"a": [3, 1, 3, 2], "b": ["x", "y", "x", "z"]}
+        if as_array:
+            columns = {name: np.asarray(values) for name, values in columns.items()}
+        built = Relation.from_columns("R", columns)
+        reference = Relation("R", Schema(list(columns)), zip(*columns.values()))
+        assert built.schema == reference.schema
+        assert list(built.rows()) == list(reference.rows())
+        assert [tuple(map(type, row)) for row in built.rows()] == [
+            tuple(map(type, row)) for row in reference.rows()
+        ]
+
     def test_column_length_mismatch(self):
         with pytest.raises(ValueError, match="equal lengths"):
             Relation.from_columns("R", {"a": [1, 2], "b": [1]})
+        with pytest.raises(ValueError, match="equal lengths"):
+            Relation.from_columns("R", {"a": np.arange(2), "b": np.arange(3)})
 
     def test_row_validation_on_insert(self):
         relation = Relation("R", Schema([Attribute("a", int)]))

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.experiments import timing
 from repro.experiments.config import TimingExperimentConfig
 from repro.experiments.timing import construction_timing_table, time_construction
 
@@ -40,6 +41,13 @@ class TestConstructionTimingTable:
         by_size = {r.set_size: r for r in rows}
         assert by_size[100].end_biased_seconds is not None
         assert by_size[10].end_biased_seconds is None
+
+    def test_serial_dp_timed_beside_end_biased_up_to_its_cap(self, monkeypatch):
+        monkeypatch.setattr(timing, "SERIAL_DP_MAX_SIZE", 100)
+        by_size = {r.set_size: r for r in construction_timing_table(FAST)}
+        assert by_size[100].serial_dp_seconds is not None
+        assert by_size[1000].serial_dp_seconds is None
+        assert by_size[10].serial_dp_seconds is None
 
     def test_partition_counts_recorded(self):
         rows = construction_timing_table(FAST)

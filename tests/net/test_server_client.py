@@ -13,8 +13,10 @@ import asyncio
 import gc
 import http.client
 import json
+import logging
 import math
 import socket
+import threading
 import time
 import weakref
 
@@ -610,3 +612,44 @@ class TestInstrumentation:
         assert "repro_net_rejected_probes_total" in text
         assert "repro_serve_rejected_probes_total" in text
         assert 'reason="quota-exceeded"' in text
+
+
+class TestLifecycle:
+    def test_stop_ends_open_connections(self, service, caplog, monkeypatch):
+        """Stopping with one idle peer and one batch in flight leaves no
+        pending handler task, no asyncio error and no pending probes."""
+        tenants = [TenantConfig(name="acme", token="tok", max_pending_probes=100)]
+        entered = threading.Event()
+        release = threading.Event()
+        answer = service.estimate_batch
+
+        def blocked_answer(*args, **kwargs):
+            entered.set()
+            release.wait(10)
+            return answer(*args, **kwargs)
+
+        handle = serve_in_thread(service, tenants=tenants)
+        tenant = handle.server._tenants_by_token["tok"]
+        peers = [socket.create_connection(handle.address, timeout=10) for _ in range(2)]
+        try:
+            for peer in peers:
+                peer.sendall(protocol.encode_frame(protocol.hello_request(token="tok")))
+                welcome = protocol.FrameDecoder().feed(peer.recv(65536))
+                assert welcome[0]["op"] == "welcome"
+            monkeypatch.setattr(service, "estimate_batch", blocked_answer)
+            batch = protocol.batch_request(
+                probes_to_wire([EqualityProbe("R", "a", 1)] * 5), request_id=1
+            )
+            peers[1].sendall(protocol.encode_frame(batch))
+            assert entered.wait(10)
+            assert tenant.pending_probes == 5
+            with caplog.at_level(logging.ERROR, logger="asyncio"):
+                handle.stop()
+                gc.collect()
+            assert not handle._thread.is_alive()
+            assert [r for r in caplog.records if r.name == "asyncio"] == []
+            assert tenant.pending_probes == 0
+        finally:
+            release.set()
+            for peer in peers:
+                peer.close()

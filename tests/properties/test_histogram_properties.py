@@ -9,7 +9,15 @@ from repro.core.biased import v_opt_bias_hist
 from repro.core.frequency import AttributeDistribution, FrequencySet
 from repro.core.heuristic import equi_depth_histogram, equi_width_histogram, trivial_histogram
 from repro.core.histogram import Histogram
-from repro.core.serial import serial_error_from_sizes, v_opt_hist_dp, v_opt_hist_exhaustive
+from repro.core.serial import (
+    dp_contiguous_partition,
+    dp_sorted_partition,
+    enumerate_serial_partitions,
+    serial_error_from_sizes,
+    v_opt_hist_dp,
+    v_opt_hist_exhaustive,
+)
+from repro.core.valueorder import v_optimal_value_histogram
 
 # Frequency multisets: positive, bounded, small enough for exhaustive oracles.
 frequencies = st.lists(
@@ -24,11 +32,40 @@ small_frequencies = st.lists(
 )
 
 
+# Inputs for the sorted-order fast path against the general DP.  Both take
+# a bucket's SSE as Σf² − (Σf)²/n from float64 prefix sums, so the bounds
+# keep M·max² < 2^53: the sums of squares stay exact for integers and the
+# rounding stays far below any real gap between partitions.  Past that the
+# costs of both programs cancel to rounding noise (on 34 values in
+# 1e9 + {0, 1, 2} they differ by multiples of 4096 where the true errors
+# are 5 and 18), so neither is a reference there.
+integer_frequencies = st.lists(st.integers(min_value=1, max_value=1000), min_size=1, max_size=150)
+
+
 @st.composite
-def frequencies_and_buckets(draw, source=frequencies):
+def tie_heavy_frequencies(draw):
+    """Up to 150 draws from a pool of at most 6 values: long runs of ties."""
+    pool = draw(st.lists(st.integers(min_value=1, max_value=1000), min_size=1, max_size=6))
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=150))
+
+
+wide_float_frequencies = st.lists(
+    st.floats(min_value=0.01, max_value=1e4, allow_nan=False, allow_infinity=False),
+    min_size=1,
+    max_size=150,
+)
+
+
+@st.composite
+def frequencies_and_buckets(draw, source=frequencies, max_buckets=None):
     freqs = draw(source)
-    beta = draw(st.integers(min_value=1, max_value=len(freqs)))
+    limit = len(freqs) if max_buckets is None else min(len(freqs), max_buckets)
+    beta = draw(st.integers(min_value=1, max_value=limit))
     return freqs, beta
+
+
+def descending(freqs):
+    return np.sort(np.asarray(freqs, dtype=np.float64))[::-1]
 
 
 class TestApproximationInvariants:
@@ -77,12 +114,61 @@ class TestApproximationInvariants:
         assert np.allclose(approx, approx[0])
 
 
+class TestSortedOrderFastPath:
+    """``dp_sorted_partition`` (monotone splits) against the general DP."""
+
+    @given(
+        st.one_of(
+            frequencies_and_buckets(integer_frequencies, max_buckets=24),
+            frequencies_and_buckets(tie_heavy_frequencies(), max_buckets=24),
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_integer_sizes_identical_to_general_dp(self, case):
+        freqs, beta = case
+        ordered = descending(freqs)
+        assert dp_sorted_partition(ordered, beta) == dp_contiguous_partition(ordered, beta)
+
+    @given(frequencies_and_buckets(wide_float_frequencies, max_buckets=24))
+    @settings(max_examples=100, deadline=None)
+    def test_float_error_equal_to_general_dp(self, case):
+        """Errors, not sizes: two partitions of one float set can both
+        score 0.0 (a real tie, broken by rounding), so sizes may differ."""
+        freqs, beta = case
+        ordered = descending(freqs)
+        fast = serial_error_from_sizes(freqs, dp_sorted_partition(ordered, beta))
+        general = serial_error_from_sizes(freqs, dp_contiguous_partition(ordered, beta))
+        # A bucket's SSE carries rounding noise of a few ulps of Σf².
+        noise = 1e-12 * float(np.dot(ordered, ordered))
+        assert fast == pytest.approx(general, rel=1e-9, abs=noise)
+
+    def test_value_order_keeps_the_exact_dp(self):
+        """Unsorted, the optimal splits need not move monotonically: on this
+        input a monotone split search returns sizes (2, 2, 1), SSE 12.5,
+        while the value-order optimum is (1, 3, 1), SSE 32/3."""
+        freqs = [1.0, 4.0, 8.0, 4.0, 9.0]
+        dist = AttributeDistribution(range(len(freqs)), freqs)
+        ordered = np.asarray(freqs, dtype=np.float64)
+        brute_force = min(
+            sum(
+                float(np.sum(part * part) - np.sum(part) ** 2 / part.size)
+                for part in np.split(ordered, np.cumsum(sizes)[:-1])
+            )
+            for sizes in enumerate_serial_partitions(len(freqs), 3)
+        )
+        assert v_optimal_value_histogram(dist, 3).self_join_error() == pytest.approx(
+            brute_force, rel=1e-12
+        )
+        assert brute_force == pytest.approx(32 / 3, rel=1e-12)
+        with pytest.raises(ValueError, match="sorted"):
+            dp_sorted_partition(ordered, 3)
+
+
 class TestOptimalityProperties:
-    @given(small_frequencies, st.integers(min_value=1, max_value=4))
-    @settings(max_examples=40, deadline=None)
-    def test_dp_equals_exhaustive(self, freqs, beta):
-        if beta > len(freqs):
-            beta = len(freqs)
+    @given(frequencies_and_buckets())
+    @settings(max_examples=60, deadline=None)
+    def test_dp_equals_exhaustive(self, case):
+        freqs, beta = case
         dp = v_opt_hist_dp(freqs, beta)
         exhaustive = v_opt_hist_exhaustive(freqs, beta)
         assert dp.self_join_error() == pytest.approx(
