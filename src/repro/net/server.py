@@ -25,8 +25,8 @@ One :class:`EstimationServer` wraps one in-process
 * **Columnar decode** — a v3 ``columns`` batch becomes a
   :class:`~repro.serve.ProbeFrame` straight from its arrays
   (:meth:`~repro.serve.ProbeFrame.from_columns`), with admission
-  verdicts computed as masks; probe objects are built only for the
-  positions a verdict rejects.
+  verdicts computed as masks; the service settles the rejected
+  positions inside their groups, so no probe object is built.
 * **Instrumented** — ``net.accept`` / ``net.batch`` / ``net.decode`` /
   ``net.stream`` spans, and per-tenant labeled counters in the default
   metric registry (``repro_net_batches_total{tenant=...}`` and friends).

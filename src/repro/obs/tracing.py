@@ -71,6 +71,7 @@ from repro.util.rng import RandomSource, derive_rng
 #: that instrumentation stays in sync with the documentation.
 SPAN_NAMES: tuple[str, ...] = (
     "serve.batch",
+    "serve.frame.build",
     "serve.table.compile",
     "serve.layout.compile",
     "journal.append",

@@ -268,9 +268,10 @@ class ProbeColumns:
 class _ColumnProbes(SequenceABC):
     """The probes of a column-built frame, rebuilt one at a time on demand.
 
-    Only cold paths read them (admission rejections and their traces), so
-    answering a frame built from columns never allocates a probe per
-    position.
+    Read only as the argument of an ``admission=`` hook: the service
+    answers, rejects and traces a frame from its groups alone, so a
+    frame built from columns allocates a probe only for the positions
+    such a hook itself reads.
     """
 
     def __init__(self, columns: ProbeColumns):
@@ -607,8 +608,9 @@ class ProbeFrame:
     Construction groups the batch's columns exactly once; answering a
     frame is then pure per-group array work, and the same frame can be
     answered repeatedly (each call returns a fresh result vector).
-    ``probes`` is the batch as a probe sequence: the caller's own list
-    for :meth:`from_probes`, rebuilt on demand for :meth:`from_columns`.
+    ``probes`` is the batch as a probe sequence, handed to an admission
+    hook: the caller's own list for :meth:`from_probes`, rebuilt on
+    demand for :meth:`from_columns`.
     """
 
     __slots__ = ("probes", "equality_groups", "range_groups", "join_groups", "_length")

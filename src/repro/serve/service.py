@@ -21,42 +21,57 @@ against the compiled state.  :class:`EstimationService` is that layer:
 Scalar convenience methods answer through the same compiled tables, so the
 batched and scalar paths return **bit-identical** floats.
 
-Fault isolation (the ``on_error`` policy)
------------------------------------------
+Fault isolation: one degradation ladder
+---------------------------------------
 
-A probe that *cannot* be answered — its relation has no statistics at all,
-its range domain is not orderable, its equality value is unhashable or its
-range bound incomparable with the domain — never aborts the rest of a
-batch.  Each such probe resolves individually through the service-wide
-(or per-call) ``on_error`` policy:
+A probe that cannot be answered first-class never aborts the rest of its
+batch.  Every probe kind walks the same ladder, one (relation, attribute)
+group at a time, and the first rung that applies decides its answer:
+
+1. **admission** — the ``admission=`` hook of ``estimate_batch`` refused
+   the probe (the hook's reason, e.g. ``"quota-exceeded"`` or
+   ``"backpressure"``);
+2. **quarantine** — crash recovery withheld the statistics (fed in
+   through :meth:`EstimationService.apply_recovery` from a
+   :class:`~repro.engine.persist.RecoveryReport`):
+   ``"quarantined-statistics"``, or ``"rebuild-in-progress"`` while the
+   maintenance agent rebuilds them;
+3. **unhashable value** — equality and membership (``"unhashable-value"``,
+   served ``0.0``); ``not_equal`` checks its value only after rungs 4–5;
+4. **compile failure** — compiling the entry's lookup table raised
+   (``"table-compile-failed"``);
+5. **unknown relation** (``"unknown-relation"``, served ``0.0``) or **no
+   statistics** for an attribute of a known relation (``"no-statistics"``);
+6. the kind's own rungs — a range over a slot without a value-aware
+   histogram (``"no-histogram"``), over an unorderable domain
+   (``"unorderable-domain"``), or with a bound incomparable with the
+   domain (``"incomparable-bound"``, isolated per probe).
+
+Unless noted, the value served is the kind's System R guess: ``0.1·|R|``
+per equality or membership value, ``|R|/3`` for a range, ``0.9·|R|`` for
+``≠`` and ``0.1·|L|·|R|`` for a join; ``0.0`` whenever a row count is
+unknown.  ``no-statistics`` and ``no-histogram`` are first-class answers,
+counted in ``ServiceMetrics.fallback_probes``.  Every other rung is
+*degraded*: it resolves through the service-wide (or per-call)
+``on_error`` policy:
 
 ``"fallback"`` (default)
-    The probe resolves to a documented bounded fallback: ``0.0`` for an
-    unknown relation or an unhashable equality value (nothing stored can
-    match), and the System R ``|R|·1/3`` guess for an unanswerable range
-    over a known relation.  The resolution is counted in
-    ``ServiceMetrics.degraded_probes`` (keyed by reason).
+    The value above, counted in ``ServiceMetrics.degraded_probes`` (keyed
+    by reason).
 
 ``"nan"``
-    The probe resolves to ``float("nan")`` so downstream consumers can
-    detect exactly which answers are missing; counted as degraded.
+    ``float("nan")``, so downstream consumers can detect exactly which
+    answers are missing; counted as degraded.
 
 ``"raise"``
-    The pre-hardening behaviour: the underlying ``KeyError`` /
-    ``ValueError`` / ``TypeError`` propagates and the batch aborts.
+    The rung's error propagates and the batch aborts: ``PermissionError``
+    (admission), ``RuntimeError`` (quarantine), ``TypeError`` (unhashable
+    value, incomparable bound), :class:`TableCompileError`, ``KeyError``
+    (unknown relation) or ``ValueError`` (unorderable domain).
 
-Probes over a *known* relation that merely lack the right statistics form
-(no histogram for a range, an un-ANALYZEd attribute) keep their classical
-System R magic-constant fallbacks; those are first-class answers, counted
-separately in ``ServiceMetrics.fallback_probes``.
-
-Statistics **quarantined** by crash recovery (fed in through
-:meth:`EstimationService.apply_recovery` from a
-:class:`~repro.engine.persist.RecoveryReport`) are never served: probes
-touching them resolve through the same ``on_error`` policy with reason
-``"quarantined-statistics"``.  An entry whose lookup-table *compile*
-raises is likewise isolated (reason ``"table-compile-failed"``) instead of
-aborting the batch; both are visible in the metrics.
+A join checks the quarantine of both sides first and compiles only when
+both sides have statistics; a compile failure on either side is reported
+against the left pair, an unknown side as (that relation, ``None``).
 
 Pass ``trace=`` (any callable accepting a :class:`ProbeTrace`) to any
 estimate entry point to observe *why* each fallback or degraded answer was
@@ -197,8 +212,30 @@ TraceHook = Callable[[ProbeTrace], None]
 #: sequence aligned with the probes where each non-``None`` entry is a
 #: rejection reason string (e.g. :data:`REASON_QUOTA_EXCEEDED`).
 #: Rejected probes resolve through the ``on_error`` policy exactly like
-#: unanswerable probes — per-probe degradation, never a dropped batch.
+#: unanswerable probes (admission is the first rung of every group's
+#: ladder) — per-probe degradation, never a dropped batch.
 AdmissionHook = Callable[[Sequence["Probe"]], Optional[Sequence[Optional[str]]]]
+
+
+@dataclass(frozen=True)
+class _Degradation:
+    """Why some probes of a group get no first-class answer, and what they get.
+
+    ``error`` builds the exception the ``"raise"`` policy propagates; it
+    is ``None`` for a documented no-statistics fallback, which every
+    policy serves as a first-class answer.
+    """
+
+    reason: str
+    #: The (relation, attribute) the trace names.
+    relation: str
+    attribute: Optional[str]
+    fallback: float
+    error: Optional[Callable[[], Exception]] = None
+
+    @property
+    def degraded(self) -> bool:
+        return self.error is not None
 
 
 def _probe_position(positions: Optional[Sequence[int]], index: int) -> Optional[int]:
@@ -207,6 +244,14 @@ def _probe_position(positions: Optional[Sequence[int]], index: int) -> Optional[
     # Positions may live in an intp index array; traces (and their JSON
     # wire form) carry plain Python ints.
     return int(positions[index])
+
+
+def _kept(column: Union[list, np.ndarray], keep: np.ndarray) -> Union[list, np.ndarray]:
+    """The admitted entries of one group column."""
+    if isinstance(column, np.ndarray):
+        return column[keep]
+    return [column[i] for i in np.flatnonzero(keep).tolist()]
+
 
 
 @dataclass
@@ -487,38 +532,6 @@ class EstimationService:
         with self._lock:
             return frozenset(self._rebuilding)
 
-    def _quarantine_reason(self, relation: str, attribute: Optional[str]) -> str:
-        """The degradation reason for a quarantined pair right now."""
-        with self._lock:
-            if (
-                (relation, attribute) in self._rebuilding
-                or (relation, None) in self._rebuilding
-            ):
-                return REASON_REBUILD_IN_PROGRESS
-        return REASON_QUARANTINED
-
-    def _is_quarantined(self, relation: str, attribute: Optional[str]) -> bool:
-        # Lock-free emptiness probe: quarantine is rare, and a stale read
-        # only delays (or briefly extends) quarantine by one request — the
-        # authoritative check below retakes the lock before answering.
-        if not self._quarantined:  # repolint: disable=R009
-            return False
-        with self._lock:
-            return (
-                (relation, attribute) in self._quarantined
-                or (relation, None) in self._quarantined
-            )
-
-    @staticmethod
-    def _quarantined_error(
-        relation: str, attribute: Optional[str]
-    ) -> Callable[[], Exception]:
-        target = relation if attribute is None else f"{relation}.{attribute}"
-        return lambda: RuntimeError(
-            f"statistics for {target} are quarantined after crash recovery; "
-            "re-run ANALYZE or `repro stats repair` before serving them"
-        )
-
     def _slot_for_entry(self, entry: CatalogEntry) -> _CompiledSlot:
         key = (entry.relation, entry.attribute)
         with self._lock:
@@ -561,14 +574,8 @@ class EstimationService:
                 )
             return slot
 
-    def _slot(self, relation: str, attribute: str) -> Optional[_CompiledSlot]:
-        entry = self._catalog.get(relation, attribute)
-        if entry is None:
-            return None
-        return self._slot_for_entry(entry)
-
     # ------------------------------------------------------------------
-    # Error-policy plumbing
+    # The degradation ladder
     # ------------------------------------------------------------------
 
     def _resolve_policy(self, override: Optional[str]) -> str:
@@ -595,112 +602,157 @@ class EstimationService:
         except Exception:
             self.metrics.record_trace_hook_error()
 
-    def _degrade_group(
+    def _fallback(
         self,
-        policy: str,
-        *,
         kind: str,
-        relation: str,
-        attribute: Optional[str],
-        reason: str,
-        fallback: float,
-        error: Callable[[], Exception],
+        sides: Sequence[tuple[str, str]],
+        total: Optional[float] = None,
+    ) -> float:
+        """The System R guess for *kind* over the sizes of the sides' relations.
+
+        The one reader of the selectivity constants: ``0.1·|R|`` per
+        equality or membership value, ``|R|/3`` for a range, ``0.9·|R|``
+        for ``≠``, ``0.1·|L|·|R|`` for a join, and ``0.0`` when a row
+        count is unknown.  *total* stands in for an unknown ``|R|`` (a
+        compiled slot's own tuple count).
+        """
+        rows = [self._catalog.relation_rows(relation) for relation, _ in sides]
+        if rows[0] is None:
+            rows[0] = total
+        if any(size is None for size in rows):
+            return 0.0
+        if kind == "join":
+            return rows[0] * rows[1] * DEFAULT_EQ_SELECTIVITY
+        if kind == "range":
+            return rows[0] * DEFAULT_RANGE_SELECTIVITY
+        if kind == "not_equal":
+            return rows[0] * (1.0 - DEFAULT_EQ_SELECTIVITY)
+        return rows[0] * DEFAULT_EQ_SELECTIVITY
+
+    def _held(
+        self, kind: str, sides: Sequence[tuple[str, str]]
+    ) -> Optional[_Degradation]:
+        """The quarantine rung: the first side recovery withholds, if any.
+
+        Its reason refines to ``"rebuild-in-progress"`` while the pair (or
+        its relation) is also marked rebuilding.
+        """
+        # Lock-free emptiness probe: quarantine is rare, and a stale read
+        # only delays (or briefly extends) quarantine by one request — the
+        # authoritative check below retakes the lock before answering.
+        if not self._quarantined:  # repolint: disable=R009
+            return None
+        with self._lock:
+            for side in sides:
+                whole = (side[0], None)
+                if side in self._quarantined or whole in self._quarantined:
+                    rebuilding = side in self._rebuilding or whole in self._rebuilding
+                    break
+            else:
+                return None
+        relation, attribute = side
+        target = relation if attribute is None else f"{relation}.{attribute}"
+        return _Degradation(
+            REASON_REBUILD_IN_PROGRESS if rebuilding else REASON_QUARANTINED,
+            relation,
+            attribute,
+            self._fallback(kind, sides),
+            lambda: RuntimeError(
+                f"statistics for {target} are quarantined after crash "
+                "recovery; re-run ANALYZE or `repro stats repair` "
+                "before serving them"
+            ),
+        )
+
+    def _resolve(
+        self, kind: str, sides: Sequence[tuple[str, str]]
+    ) -> Union[list[_CompiledSlot], _Degradation]:
+        """The compiled slot of each side, or the degradation its probes get.
+
+        The rungs every kind shares, in order: quarantine of any side;
+        then, once every side has a catalog entry, the compiles (a failure
+        on any side is reported against the first); otherwise an unknown
+        relation (degraded, ``0.0``; a join names the relation alone) or
+        no statistics for a known one (the kind's fallback, first-class).
+        """
+        held = self._held(kind, sides)
+        if held is not None:
+            return held
+        relation, attribute = sides[0]
+        entries = []
+        for name, attr in sides:
+            entry = self._catalog.get(name, attr)
+            if entry is None:
+                break
+            entries.append(entry)
+        else:
+            try:
+                return [self._slot_for_entry(entry) for entry in entries]
+            except TableCompileError as exc:
+                return _Degradation(
+                    REASON_COMPILE_FAILED,
+                    relation,
+                    attribute,
+                    self._fallback(kind, sides),
+                    lambda exc=exc: exc,
+                )
+        for name, _ in sides:
+            if self._catalog.relation_rows(name) is None:
+                return _Degradation(
+                    REASON_UNKNOWN_RELATION,
+                    name,
+                    attribute if len(sides) == 1 else None,
+                    0.0,
+                    lambda name=name: KeyError(
+                        f"no statistics for relation {name!r}; run ANALYZE"
+                    ),
+                )
+        return _Degradation(
+            REASON_NO_STATISTICS, relation, attribute, self._fallback(kind, sides)
+        )
+
+    def _settle(
+        self,
+        degradation: _Degradation,
+        kind: str,
+        policy: str,
         trace: Optional[TraceHook],
         positions: Optional[Sequence[int]],
         count: int,
     ) -> float:
-        """Resolve a whole group of unanswerable probes through the policy.
+        """Resolve *count* probes of one group through *degradation*.
 
-        Metrics are batch-level — one counter add for the *count* probes,
-        never one per probe; the per-probe loop exists only when a
-        ``trace=`` hook wants individual positions.  Returns the one value
-        every probe in the group resolves to (callers scatter it with a
-        mask/fancy-index assignment).
+        The one place the ``on_error`` policy applies.  Metrics are
+        batch-level — one counter add per (group, reason), never one per
+        probe; the per-probe loop exists only when a ``trace=`` hook wants
+        individual positions.  Returns the one value every such probe
+        resolves to (callers scatter it).
         """
-        if policy == "raise":
-            raise error()
-        value = math.nan if policy == "nan" else fallback
-        self.metrics.record_degraded(reason, count)
-        if reason in (REASON_QUARANTINED, REASON_REBUILD_IN_PROGRESS):
-            self.metrics.record_quarantined(count)
+        if degradation.degraded:
+            if policy == "raise":
+                raise degradation.error()
+            value = math.nan if policy == "nan" else degradation.fallback
+            self.metrics.record_degraded(degradation.reason, count)
+            if degradation.reason in (REASON_QUARANTINED, REASON_REBUILD_IN_PROGRESS):
+                self.metrics.record_quarantined(count)
+        else:
+            value = degradation.fallback
+            self.metrics.record_fallback(count)
         if trace is not None:
             for index in range(count):
                 self._emit_trace(
                     trace,
                     ProbeTrace(
                         kind=kind,
-                        relation=relation,
-                        attribute=attribute,
-                        reason=reason,
+                        relation=degradation.relation,
+                        attribute=degradation.attribute,
+                        reason=degradation.reason,
                         value=value,
-                        degraded=True,
+                        degraded=degradation.degraded,
                         position=_probe_position(positions, index),
                     ),
                 )
         return value
-
-    def _degrade(
-        self,
-        policy: str,
-        *,
-        kind: str,
-        relation: str,
-        attribute: Optional[str],
-        reason: str,
-        fallback: float,
-        error: Callable[[], Exception],
-        trace: Optional[TraceHook],
-        position: Optional[int],
-    ) -> float:
-        """Resolve one unanswerable probe through the error policy."""
-        return self._degrade_group(
-            policy,
-            kind=kind,
-            relation=relation,
-            attribute=attribute,
-            reason=reason,
-            fallback=fallback,
-            error=error,
-            trace=trace,
-            positions=None if position is None else [position],
-            count=1,
-        )
-
-    def _note_fallbacks(
-        self,
-        *,
-        kind: str,
-        relation: str,
-        attribute: Optional[str],
-        reason: str,
-        value: float,
-        trace: Optional[TraceHook],
-        positions: Optional[Sequence[int]],
-        count: int,
-    ) -> None:
-        """Count (and optionally trace) no-statistics fallback answers."""
-        self.metrics.record_fallback(count)
-        if trace is None:
-            return
-        for index in range(count):
-            self._emit_trace(
-                trace,
-                ProbeTrace(
-                    kind=kind,
-                    relation=relation,
-                    attribute=attribute,
-                    reason=reason,
-                    value=value,
-                    degraded=False,
-                    position=_probe_position(positions, index),
-                ),
-            )
-
-    @staticmethod
-    def _unknown_relation_error(relation: str) -> Callable[[], Exception]:
-        return lambda: KeyError(
-            f"no statistics for relation {relation!r}; run ANALYZE"
-        )
 
     # ------------------------------------------------------------------
     # Scan and selection estimates
@@ -722,142 +774,77 @@ class EstimationService:
 
     def _answer_equalities(
         self,
+        kind: str,
         relation: str,
         attribute: str,
         values: Sequence[Hashable],
-        *,
         policy: str,
         trace: Optional[TraceHook],
         positions: Optional[Sequence[int]] = None,
-        kind: str = "equality",
+        slot: Optional[_CompiledSlot] = None,
     ) -> np.ndarray:
-        """Answer one (relation, attribute) equality group, fault-isolated.
+        """Answer one (relation, attribute) group of equality-like probes.
 
-        ``values`` may be a plain sequence or a pre-converted numeric
-        ndarray (the frame fast path); a numeric array skips the
-        per-value hashability scan outright — nothing in it can be
-        unhashable.  Degradations resolve mask-based: one
-        :meth:`_degrade_group` per (reason, group), scattered with a
-        single fancy-index assignment.
+        The value rung sits between quarantine and the lookup rungs of
+        :meth:`_resolve`: unhashable members degrade alone, and a group
+        with nothing else looks no table up.  A numeric ``values`` array
+        (the frame fast path) skips the hashability scan outright.
+        *slot* is one the caller has already resolved (``not_equal``).
         """
         count = len(values)
-        if self._is_quarantined(relation, attribute):
-            rows = self._catalog.relation_rows(relation)
-            fallback = 0.0 if rows is None else rows * DEFAULT_EQ_SELECTIVITY
-            value = self._degrade_group(
-                policy,
-                kind=kind,
-                relation=relation,
-                attribute=attribute,
-                reason=self._quarantine_reason(relation, attribute),
-                fallback=fallback,
-                error=self._quarantined_error(relation, attribute),
-                trace=trace,
-                positions=positions,
-                count=count,
-            )
-            return np.full(count, value, dtype=np.float64)
         arr = probe_code_array(values)
-        if arr is not None:
-            good_index: Optional[list[int]] = None
-            bad_index: list[int] = []
-            good_values: Union[np.ndarray, list[Hashable]] = arr
-        else:
-            good_index = []
-            bad_index = []
-            good_list: list[Hashable] = []
+        bad: list[int] = []
+        if arr is None:
             for index, value in enumerate(values):
                 try:
                     hash(value)
                 except TypeError:
-                    bad_index.append(index)
-                else:
-                    good_index.append(index)
-                    good_list.append(value)
-            good_values = good_list
-        out: Optional[np.ndarray] = None
-        if bad_index:
-            out = np.empty(count, dtype=np.float64)
-            first_bad = values[bad_index[0]]
-            bad_value = self._degrade_group(
-                policy,
-                kind=kind,
-                relation=relation,
-                attribute=attribute,
-                reason=REASON_UNHASHABLE_VALUE,
-                fallback=0.0,
-                error=lambda value=first_bad: TypeError(
-                    f"unhashable probe value of type {type(value).__name__} "
+                    bad.append(index)
+        if not bad:
+            resolved = [slot] if slot is not None else self._resolve(
+                kind, [(relation, attribute)]
+            )
+            if isinstance(resolved, _Degradation):
+                value = self._settle(resolved, kind, policy, trace, positions, count)
+                return np.full(count, value, dtype=np.float64)
+            answers = resolved[0].frequency_batch(values if arr is None else arr)
+            return np.asarray(answers, dtype=np.float64)
+        held = None if slot is not None else self._held(kind, [(relation, attribute)])
+        if held is not None:
+            value = self._settle(held, kind, policy, trace, positions, count)
+            return np.full(count, value, dtype=np.float64)
+        out = np.empty(count, dtype=np.float64)
+        first = values[bad[0]]
+        out[bad] = self._settle(
+            _Degradation(
+                REASON_UNHASHABLE_VALUE,
+                relation,
+                attribute,
+                0.0,
+                lambda: TypeError(
+                    f"unhashable probe value of type {type(first).__name__} "
                     f"for {relation}.{attribute}"
                 ),
-                trace=trace,
-                positions=(
-                    None
-                    if positions is None
-                    else [positions[index] for index in bad_index]
-                ),
-                count=len(bad_index),
-            )
-            out[np.asarray(bad_index, dtype=np.intp)] = bad_value
-            if not good_values:
-                return out
-        good_count = len(good_values)
-        good_positions = positions
-        if positions is not None and good_index is not None and bad_index:
-            good_positions = [positions[index] for index in good_index]
-        try:
-            slot = self._slot(relation, attribute)
-        except TableCompileError as exc:
-            rows = self._catalog.relation_rows(relation)
-            fallback = 0.0 if rows is None else rows * DEFAULT_EQ_SELECTIVITY
-            value = self._degrade_group(
+            ),
+            kind,
+            policy,
+            trace,
+            None if positions is None else positions[bad],
+            len(bad),
+        )
+        good = np.ones(count, dtype=bool)
+        good[bad] = False
+        if good.any():
+            out[good] = self._answer_equalities(
+                kind,
+                relation,
+                attribute,
+                _kept(values, good),
                 policy,
-                kind=kind,
-                relation=relation,
-                attribute=attribute,
-                reason=REASON_COMPILE_FAILED,
-                fallback=fallback,
-                error=lambda exc=exc: exc,
-                trace=trace,
-                positions=good_positions,
-                count=good_count,
+                trace,
+                None if positions is None else positions[good],
+                slot,
             )
-            answers: np.ndarray = np.full(good_count, value, dtype=np.float64)
-        else:
-            if slot is not None:
-                answers = slot.frequency_batch(good_values)
-            else:
-                rows = self._catalog.relation_rows(relation)
-                if rows is None:
-                    value = self._degrade_group(
-                        policy,
-                        kind=kind,
-                        relation=relation,
-                        attribute=attribute,
-                        reason=REASON_UNKNOWN_RELATION,
-                        fallback=0.0,
-                        error=self._unknown_relation_error(relation),
-                        trace=trace,
-                        positions=good_positions,
-                        count=good_count,
-                    )
-                    answers = np.full(good_count, value, dtype=np.float64)
-                else:
-                    fallback = rows * DEFAULT_EQ_SELECTIVITY
-                    answers = np.full(good_count, fallback, dtype=np.float64)
-                    self._note_fallbacks(
-                        kind=kind,
-                        relation=relation,
-                        attribute=attribute,
-                        reason=REASON_NO_STATISTICS,
-                        value=fallback,
-                        trace=trace,
-                        positions=good_positions,
-                        count=good_count,
-                    )
-        if not bad_index:
-            return np.asarray(answers, dtype=np.float64)
-        out[np.asarray(good_index, dtype=np.intp)] = answers
         return out
 
     def estimate_equalities(
@@ -880,7 +867,7 @@ class EstimationService:
         if len(values) == 0:
             return np.zeros(0, dtype=np.float64)
         result = self._answer_equalities(
-            relation, attribute, values, policy=policy, trace=trace
+            "equality", relation, attribute, values, policy, trace
         )
         self.metrics.record_probes("equality", len(values))
         return result
@@ -933,12 +920,7 @@ class EstimationService:
         mass = float(
             np.sum(
                 self._answer_equalities(
-                    relation,
-                    attribute,
-                    distinct,
-                    policy=policy,
-                    trace=trace,
-                    kind="membership",
+                    "membership", relation, attribute, distinct, policy, trace
                 ),
                 dtype=np.float64,
             )
@@ -959,127 +941,49 @@ class EstimationService:
         highs: Sequence[Optional[Hashable]],
         include_low: bool,
         include_high: bool,
-        *,
         policy: str,
         trace: Optional[TraceHook],
         positions: Optional[Sequence[int]] = None,
-        low_codes: Optional[np.ndarray] = None,
-        high_codes: Optional[np.ndarray] = None,
-        low_open: Optional[np.ndarray] = None,
-        high_open: Optional[np.ndarray] = None,
+        codes: Optional[tuple] = None,
     ) -> np.ndarray:
-        """Answer one range group, isolating unanswerable probes.
+        """Answer one range group: the shared rungs, then the range's own.
 
-        ``low_codes``/``high_codes`` are optional pre-converted float64
-        bound columns (open bounds at ±inf) from a
-        :class:`~repro.serve.frame.ProbeFrame`, with
-        ``low_open``/``high_open`` their open-bound masks; they are
-        consulted only when the compiled table itself is numeric, so
-        demoted/exact tables keep comparing the *original* bounds
-        exactly.  Degradations are mask-based: one :meth:`_degrade_group`
-        call per (reason, group).
+        A slot without a value-aware histogram answers the System R guess
+        (first-class); an unorderable domain degrades the whole group;
+        numeric bounds over a numeric table take the pure array path;
+        anything else is answered per probe, and the incomparable bounds
+        degrade together.  *codes* are a frame's pre-converted bound
+        columns ``(low_codes, high_codes, low_open, high_open)`` (open
+        bounds at ±inf), consulted only by a numeric table, so exact
+        tables keep comparing the *original* bounds.
         """
         count = len(lows)
-        rows = self._catalog.relation_rows(relation)
-        if self._is_quarantined(relation, attribute):
-            fallback = 0.0 if rows is None else rows * DEFAULT_RANGE_SELECTIVITY
-            value = self._degrade_group(
-                policy,
-                kind="range",
-                relation=relation,
-                attribute=attribute,
-                reason=self._quarantine_reason(relation, attribute),
-                fallback=fallback,
-                error=self._quarantined_error(relation, attribute),
-                trace=trace,
-                positions=positions,
-                count=count,
-            )
+        resolved = self._resolve("range", [(relation, attribute)])
+        if isinstance(resolved, _Degradation):
+            value = self._settle(resolved, "range", policy, trace, positions, count)
             return np.full(count, value, dtype=np.float64)
-        try:
-            slot = self._slot(relation, attribute)
-        except TableCompileError as exc:
-            fallback = 0.0 if rows is None else rows * DEFAULT_RANGE_SELECTIVITY
-            value = self._degrade_group(
-                policy,
-                kind="range",
-                relation=relation,
-                attribute=attribute,
-                reason=REASON_COMPILE_FAILED,
-                fallback=fallback,
-                error=lambda exc=exc: exc,
-                trace=trace,
-                positions=positions,
-                count=count,
-            )
-            return np.full(count, value, dtype=np.float64)
-        if slot is None:
-            if rows is None:
-                value = self._degrade_group(
-                    policy,
-                    kind="range",
-                    relation=relation,
-                    attribute=attribute,
-                    reason=REASON_UNKNOWN_RELATION,
-                    fallback=0.0,
-                    error=self._unknown_relation_error(relation),
-                    trace=trace,
-                    positions=positions,
-                    count=count,
-                )
-                return np.full(count, value, dtype=np.float64)
-            fallback = rows * DEFAULT_RANGE_SELECTIVITY
-            self._note_fallbacks(
-                kind="range",
-                relation=relation,
-                attribute=attribute,
-                reason=REASON_NO_STATISTICS,
-                value=fallback,
-                trace=trace,
-                positions=positions,
-                count=count,
-            )
-            return np.full(count, fallback, dtype=np.float64)
+        slot = resolved[0]
         table = slot.histogram_table
-        guess = (
-            rows if rows is not None else slot.total_tuples
-        ) * DEFAULT_RANGE_SELECTIVITY
-        if table is None:
-            self._note_fallbacks(
-                kind="range",
-                relation=relation,
-                attribute=attribute,
-                reason=REASON_NO_HISTOGRAM,
-                value=guess,
-                trace=trace,
-                positions=positions,
-                count=count,
-            )
-            return np.full(count, guess, dtype=np.float64)
-        if not table.is_orderable:
-            value = self._degrade_group(
-                policy,
-                kind="range",
-                relation=relation,
-                attribute=attribute,
-                reason=REASON_UNORDERABLE_DOMAIN,
-                fallback=guess,
-                error=lambda: ValueError(
-                    "range estimation needs an orderable domain; "
-                    f"the {relation}.{attribute} histogram's values are "
-                    "not mutually comparable"
-                ),
-                trace=trace,
-                positions=positions,
-                count=count,
-            )
+        if table is None or not table.is_orderable:
+            guess = self._fallback("range", [(relation, attribute)], slot.total_tuples)
+            if table is None:
+                rung = _Degradation(REASON_NO_HISTOGRAM, relation, attribute, guess)
+            else:
+                rung = _Degradation(
+                    REASON_UNORDERABLE_DOMAIN,
+                    relation,
+                    attribute,
+                    guess,
+                    lambda: ValueError(
+                        "range estimation needs an orderable domain; "
+                        f"the {relation}.{attribute} histogram's values are "
+                        "not mutually comparable"
+                    ),
+                )
+            value = self._settle(rung, "range", policy, trace, positions, count)
             return np.full(count, value, dtype=np.float64)
         if table.is_numeric:
-            bounds = (
-                (low_codes, high_codes, low_open, high_open)
-                if low_codes is not None and high_codes is not None
-                else range_bound_arrays(lows, highs)
-            )
+            bounds = codes if codes is not None else range_bound_arrays(lows, highs)
             if bounds is not None:
                 # Pure array path: numeric bounds over a numeric table
                 # cannot raise, so no per-probe isolation is needed.
@@ -1098,41 +1002,34 @@ class EstimationService:
                 )
             except TypeError:
                 pass  # some bound is incomparable with the domain
-        # Mixed-quality bounds: isolate per probe, then resolve every
-        # incomparable bound through the policy in one group call.
         out = np.empty(count, dtype=np.float64)
-        failed_index: list[int] = []
-        first_error: Optional[tuple] = None
+        failed: list[int] = []
         for index, (low, high) in enumerate(zip(lows, highs)):
             try:
                 out[index] = table.range_sum(
                     low, high, include_low=include_low, include_high=include_high
                 )
             except (TypeError, OverflowError):
-                failed_index.append(index)
-                if first_error is None:
-                    first_error = (low, high)
-        if failed_index:
-            value = self._degrade_group(
+                failed.append(index)
+        if failed:
+            low, high = lows[failed[0]], highs[failed[0]]
+            out[failed] = self._settle(
+                _Degradation(
+                    REASON_INCOMPARABLE_BOUND,
+                    relation,
+                    attribute,
+                    self._fallback("range", [(relation, attribute)], slot.total_tuples),
+                    lambda: TypeError(
+                        f"range bounds ({low!r}, {high!r}) are not "
+                        f"comparable with the {relation}.{attribute} domain"
+                    ),
+                ),
+                "range",
                 policy,
-                kind="range",
-                relation=relation,
-                attribute=attribute,
-                reason=REASON_INCOMPARABLE_BOUND,
-                fallback=guess,
-                error=lambda pair=first_error: TypeError(
-                    f"range bounds ({pair[0]!r}, {pair[1]!r}) are not "
-                    f"comparable with the {relation}.{attribute} domain"
-                ),
-                trace=trace,
-                positions=(
-                    None
-                    if positions is None
-                    else [positions[index] for index in failed_index]
-                ),
-                count=len(failed_index),
+                trace,
+                None if positions is None else positions[failed],
+                len(failed),
             )
-            out[np.asarray(failed_index, dtype=np.intp)] = value
         return out
 
     def estimate_ranges(
@@ -1162,14 +1059,7 @@ class EstimationService:
         if not lows:
             return np.zeros(0, dtype=np.float64)
         result = self._answer_ranges(
-            relation,
-            attribute,
-            lows,
-            highs,
-            include_low,
-            include_high,
-            policy=policy,
-            trace=trace,
+            relation, attribute, lows, highs, include_low, include_high, policy, trace
         )
         self.metrics.record_probes("range", len(lows))
         return result
@@ -1215,92 +1105,25 @@ class EstimationService:
         on every path (including the no-statistics fallback).
         """
         policy = self._resolve_policy(on_error)
-        result = self._answer_not_equal(
-            relation, attribute, value, policy=policy, trace=trace
-        )
+        resolved = self._resolve("not_equal", [(relation, attribute)])
+        if isinstance(resolved, _Degradation):
+            result = self._settle(resolved, "not_equal", policy, trace, None, 1)
+        else:
+            # The equality kernel on the slot just resolved: its value
+            # rung still applies, its lookup rungs already have.
+            slot = resolved[0]
+            equality = float(
+                self._answer_equalities(
+                    "not_equal", relation, attribute, [value], policy, trace, slot=slot
+                )[0]
+            )
+            result = equality
+            if not math.isnan(equality):
+                result = max(0.0, slot.total_tuples - equality)
+                rows = self._catalog.relation_rows(relation)
+                if rows is not None:
+                    result = min(result, rows)
         self.metrics.record_probes("not_equal", 1)
-        return result
-
-    def _answer_not_equal(
-        self,
-        relation: str,
-        attribute: str,
-        value: Hashable,
-        *,
-        policy: str,
-        trace: Optional[TraceHook],
-    ) -> float:
-        rows = self._catalog.relation_rows(relation)
-        if self._is_quarantined(relation, attribute):
-            return self._degrade(
-                policy,
-                kind="not_equal",
-                relation=relation,
-                attribute=attribute,
-                reason=self._quarantine_reason(relation, attribute),
-                fallback=(
-                    0.0 if rows is None else rows * (1.0 - DEFAULT_EQ_SELECTIVITY)
-                ),
-                error=self._quarantined_error(relation, attribute),
-                trace=trace,
-                position=None,
-            )
-        try:
-            slot = self._slot(relation, attribute)
-        except TableCompileError as exc:
-            return self._degrade(
-                policy,
-                kind="not_equal",
-                relation=relation,
-                attribute=attribute,
-                reason=REASON_COMPILE_FAILED,
-                fallback=(
-                    0.0 if rows is None else rows * (1.0 - DEFAULT_EQ_SELECTIVITY)
-                ),
-                error=lambda exc=exc: exc,
-                trace=trace,
-                position=None,
-            )
-        if slot is None:
-            if rows is None:
-                return self._degrade(
-                    policy,
-                    kind="not_equal",
-                    relation=relation,
-                    attribute=attribute,
-                    reason=REASON_UNKNOWN_RELATION,
-                    fallback=0.0,
-                    error=self._unknown_relation_error(relation),
-                    trace=trace,
-                    position=None,
-                )
-            fallback = rows * (1.0 - DEFAULT_EQ_SELECTIVITY)
-            self._note_fallbacks(
-                kind="not_equal",
-                relation=relation,
-                attribute=attribute,
-                reason=REASON_NO_STATISTICS,
-                value=fallback,
-                trace=trace,
-                positions=None,
-                count=1,
-            )
-            return fallback
-        equality = float(
-            self._answer_equalities(
-                relation,
-                attribute,
-                [value],
-                policy=policy,
-                trace=trace,
-                kind="not_equal",
-            )[0]
-        )
-        if math.isnan(equality):
-            return equality
-        result = max(0.0, slot.total_tuples - equality)
-        if rows is not None:
-            result = min(result, rows)
         return result
 
     # ------------------------------------------------------------------
@@ -1320,108 +1143,27 @@ class EstimationService:
         """Two-way equality-join cardinality between two base relations."""
         policy = self._resolve_policy(on_error)
         result = self._answer_join(
-            left_relation,
-            left_attribute,
-            right_relation,
-            right_attribute,
-            policy=policy,
-            trace=trace,
-            positions=None,
+            ((left_relation, left_attribute), (right_relation, right_attribute)),
+            policy,
+            trace,
         )
         self.metrics.record_probes("join", 1)
         return result
 
     def _answer_join(
         self,
-        left_relation: str,
-        left_attribute: str,
-        right_relation: str,
-        right_attribute: str,
-        *,
+        sides: tuple[tuple[str, str], tuple[str, str]],
         policy: str,
         trace: Optional[TraceHook],
-        positions: Optional[Sequence[int]],
-        count: int = 1,
+        positions: Optional[np.ndarray] = None,
     ) -> float:
         """Answer one join group (identical probes share one computation)."""
-        quarantined_side: Optional[tuple[str, str]] = None
-        if self._is_quarantined(left_relation, left_attribute):
-            quarantined_side = (left_relation, left_attribute)
-        elif self._is_quarantined(right_relation, right_attribute):
-            quarantined_side = (right_relation, right_attribute)
-        if quarantined_side is not None:
-            rows_left = self._catalog.relation_rows(left_relation)
-            rows_right = self._catalog.relation_rows(right_relation)
-            fallback = (
-                rows_left * rows_right * DEFAULT_EQ_SELECTIVITY
-                if rows_left is not None and rows_right is not None
-                else 0.0
-            )
-            return self._degrade_group(
-                policy,
-                kind="join",
-                relation=quarantined_side[0],
-                attribute=quarantined_side[1],
-                reason=self._quarantine_reason(*quarantined_side),
-                fallback=fallback,
-                error=self._quarantined_error(*quarantined_side),
-                trace=trace,
-                positions=positions,
-                count=count,
-            )
-        left = self._catalog.get(left_relation, left_attribute)
-        right = self._catalog.get(right_relation, right_attribute)
-        if left is not None and right is not None:
-            try:
-                return self.join_entries(left, right)
-            except TableCompileError as exc:
-                rows_left = self._catalog.relation_rows(left_relation)
-                rows_right = self._catalog.relation_rows(right_relation)
-                fallback = (
-                    rows_left * rows_right * DEFAULT_EQ_SELECTIVITY
-                    if rows_left is not None and rows_right is not None
-                    else 0.0
-                )
-                return self._degrade_group(
-                    policy,
-                    kind="join",
-                    relation=left_relation,
-                    attribute=left_attribute,
-                    reason=REASON_COMPILE_FAILED,
-                    fallback=fallback,
-                    error=lambda exc=exc: exc,
-                    trace=trace,
-                    positions=positions,
-                    count=count,
-                )
-        rows_left = self._catalog.relation_rows(left_relation)
-        rows_right = self._catalog.relation_rows(right_relation)
-        if rows_left is None or rows_right is None:
-            missing = left_relation if rows_left is None else right_relation
-            return self._degrade_group(
-                policy,
-                kind="join",
-                relation=missing,
-                attribute=None,
-                reason=REASON_UNKNOWN_RELATION,
-                fallback=0.0,
-                error=self._unknown_relation_error(missing),
-                trace=trace,
-                positions=positions,
-                count=count,
-            )
-        fallback = rows_left * rows_right * DEFAULT_EQ_SELECTIVITY
-        self._note_fallbacks(
-            kind="join",
-            relation=left_relation,
-            attribute=left_attribute,
-            reason=REASON_NO_STATISTICS,
-            value=fallback,
-            trace=trace,
-            positions=positions,
-            count=count,
-        )
-        return fallback
+        resolved = self._resolve("join", sides)
+        if isinstance(resolved, _Degradation):
+            count = 1 if positions is None else len(positions)
+            return self._settle(resolved, "join", policy, trace, positions, count)
+        left, right = resolved
+        return self._join_product(left, right, sides[1])
 
     def join_entries(self, left: CatalogEntry, right: CatalogEntry) -> float:
         """Join estimate from two catalog entries.
@@ -1439,18 +1181,25 @@ class EstimationService:
         left slot keeps it per partner and serves it again until either
         side's version moves.
         """
-        left_slot = self._slot_for_entry(left)
-        right_slot = self._slot_for_entry(right)
-        partner = (right.relation, right.attribute)
+        return self._join_product(
+            self._slot_for_entry(left),
+            self._slot_for_entry(right),
+            (right.relation, right.attribute),
+        )
+
+    def _join_product(
+        self, left: _CompiledSlot, right: _CompiledSlot, partner: tuple[str, str]
+    ) -> float:
+        """The product of two compiled slots, memoized on the left one."""
         # No lock: a stored product is served only for the partner version
         # it was computed against, so a racing store can cost a
         # recomputation, never a stale answer.
-        stored = left_slot.joins.get(partner)
-        if stored is not None and stored[0] == right_slot.version:
+        stored = left.joins.get(partner)
+        if stored is not None and stored[0] == right.version:
             self.metrics.record_join_product(reused=True)
             return stored[1]
-        product = self._join_slots(left_slot, right_slot)
-        left_slot.joins[partner] = (right_slot.version, product)
+        product = self._join_slots(left, right)
+        left.joins[partner] = (right.version, product)
         self.metrics.record_join_product(reused=False)
         return product
 
@@ -1508,114 +1257,106 @@ class EstimationService:
         :class:`~repro.serve.frame.ProbeFrame`.  Passing a frame skips
         the per-probe grouping pass entirely, so a frame built once can
         be re-answered (e.g. against refreshed statistics) at pure
-        array-sweep cost.
+        array-sweep cost.  A sequence is grouped inside the call, under a
+        ``serve.frame.build`` child of the ``serve.batch`` span, so the
+        span, ``ServiceMetrics.latency_counts`` and ``batches_failed``
+        (an invalid probe raises ``TypeError``) cover the whole call.
 
-        Fault-isolated: an unanswerable probe (unknown relation,
-        unorderable range domain, unhashable value) resolves individually
-        through the ``on_error`` policy and never aborts the batch under
-        the default ``"fallback"`` (or ``"nan"``) policy.  Batch latency
-        is recorded into ``ServiceMetrics.latency_counts``; metric and
+        Fault-isolated: an unanswerable probe walks the degradation
+        ladder of the module docstring and never aborts the batch under
+        the default ``"fallback"`` (or ``"nan"``) policy.  Metric and
         trace bookkeeping is batch-level — one counter update per
-        (kind, group), never per probe.
+        (kind, group) and per (group, reason), never per probe.
 
         ``admission=`` plugs quota/backpressure control into the same
-        degradation machinery: the hook sees the whole batch up front and
-        names a rejection reason per refused probe (see
-        :data:`AdmissionHook`); refused probes resolve through the
-        ``on_error`` policy with that reason and are counted in
-        ``ServiceMetrics.rejected_probes`` — the network server's
+        ladder as its first rung: the hook sees the whole batch up front
+        and names a rejection reason per refused probe (see
+        :data:`AdmissionHook`); each group resolves its refused members
+        through the ``on_error`` policy, once per reason, and counts them
+        in ``ServiceMetrics.rejected_probes`` — the network server's
         per-tenant quotas ride this hook.
         """
         policy = self._resolve_policy(on_error)
-        frame = probes if isinstance(probes, ProbeFrame) else ProbeFrame.from_probes(probes)
         started = perf_counter()
-        with span("serve.batch", service=self.name, probes=len(frame)):
-            try:
+        try:
+            if not isinstance(probes, (ProbeFrame, list)):
+                probes = list(probes)
+            with span("serve.batch", service=self.name, probes=len(probes)):
+                frame = probes
+                if not isinstance(frame, ProbeFrame):
+                    with span("serve.frame.build"):
+                        frame = ProbeFrame.from_probes(probes)
                 out = self._answer_frame(frame, policy, trace, admission)
-            except Exception:
-                self.metrics.record_batch(failed=True)
-                raise
+        except Exception:
+            self.metrics.record_batch(failed=True)
+            raise
         self.metrics.record_batch()
         self.metrics.record_latency(perf_counter() - started)
         return out
 
-    def _probe_kind(self, probe: Probe) -> str:
-        if isinstance(probe, EqualityProbe):
-            return "equality"
-        if isinstance(probe, RangeProbe):
-            return "range"
-        return "join"
-
-    def _rejected_fallback(self, probe: Probe) -> float:
-        """The bounded fallback served for an admission-rejected probe.
-
-        Mirrors the unanswerable-probe fallbacks: the System R magic
-        constants over known relation sizes, ``0.0`` when even the sizes
-        are unknown.
-        """
-        if isinstance(probe, JoinProbe):
-            rows_left = self._catalog.relation_rows(probe.left_relation)
-            rows_right = self._catalog.relation_rows(probe.right_relation)
-            if rows_left is None or rows_right is None:
-                return 0.0
-            return rows_left * rows_right * DEFAULT_EQ_SELECTIVITY
-        rows = self._catalog.relation_rows(probe.relation)
-        if rows is None:
-            return 0.0
-        if isinstance(probe, RangeProbe):
-            return rows * DEFAULT_RANGE_SELECTIVITY
-        return rows * DEFAULT_EQ_SELECTIVITY
-
-    def _reject_probe(
-        self,
-        probe: Probe,
-        reason: str,
-        *,
-        policy: str,
-        trace: Optional[TraceHook],
-        position: int,
-    ) -> float:
-        """Resolve one admission-rejected probe through the error policy."""
-        kind = self._probe_kind(probe)
-        if isinstance(probe, JoinProbe):
-            relation = probe.left_relation
-            attribute: Optional[str] = probe.left_attribute
-        else:
-            relation = probe.relation
-            attribute = probe.attribute
-        self.metrics.record_rejected(reason)
-        value = self._degrade(
-            policy,
-            kind=kind,
-            relation=relation,
-            attribute=attribute,
-            reason=reason,
-            fallback=self._rejected_fallback(probe),
-            error=lambda reason=reason: PermissionError(
-                f"probe rejected by admission control: {reason}"
-            ),
-            trace=trace,
-            position=position,
-        )
-        self.metrics.record_probes(kind, 1)
-        return value
-
-    def _apply_admission(
-        self,
-        probes: Sequence[Probe],
-        admission: Optional[AdmissionHook],
-    ) -> Optional[Sequence[Optional[str]]]:
+    def _verdicts(
+        self, frame: ProbeFrame, admission: Optional[AdmissionHook]
+    ) -> Optional[np.ndarray]:
+        """The hook's verdicts as one object array; ``None`` admits all."""
         if admission is None:
             return None
-        verdicts = admission(probes)
+        verdicts = admission(frame.probes)
         if verdicts is None:
             return None
-        if len(verdicts) != len(probes):
+        if len(verdicts) != len(frame):
             raise ValueError(
                 f"admission hook returned {len(verdicts)} verdicts for "
-                f"{len(probes)} probes; they must align"
+                f"{len(frame)} probes; they must align"
             )
-        return verdicts
+        column = np.empty(len(frame), dtype=object)
+        column[:] = verdicts
+        return column if np.not_equal(column, None).any() else None
+
+    def _admit(
+        self,
+        verdicts: np.ndarray,
+        kind: str,
+        sides: Sequence[tuple[str, str]],
+        positions: np.ndarray,
+        policy: str,
+        trace: Optional[TraceHook],
+    ) -> Optional[tuple[np.ndarray, np.ndarray]]:
+        """The admission rung of one group.
+
+        Refused members resolve through the policy once per reason, with
+        the kind's fallback.  Returns the admitted-member mask and the
+        group's answers so far (the refused members'), or ``None`` when
+        every member was admitted.
+        """
+        group = verdicts[positions]
+        refused = np.not_equal(group, None)
+        if not refused.any():
+            return None
+        relation, attribute = sides[0]
+        fallback = self._fallback(kind, sides)
+        settled = np.zeros(positions.size, dtype=np.float64)
+        for verdict in dict.fromkeys(group[refused].tolist()):
+            reason = str(verdict)
+            members = group == verdict
+            count = int(np.count_nonzero(members))
+            self.metrics.record_rejected(reason, count)
+            settled[members] = self._settle(
+                _Degradation(
+                    reason,
+                    relation,
+                    attribute,
+                    fallback,
+                    lambda reason=reason: PermissionError(
+                        f"probe rejected by admission control: {reason}"
+                    ),
+                ),
+                kind,
+                policy,
+                trace,
+                positions[members],
+                count,
+            )
+        return ~refused, settled
 
     def _answer_frame(
         self,
@@ -1627,107 +1368,78 @@ class EstimationService:
         """Answer a pre-grouped frame: one vectorized sweep per group.
 
         The hot path never touches individual probes — groups carry
-        contiguous position/value arrays built by
-        :meth:`ProbeFrame.from_probes`, each is answered by one batch
-        table call, and the answers are scattered back by position.
-        Admission rejections (cold path) are handled up front through a
-        boolean mask; surviving group members are sliced out with it.
+        contiguous position/value arrays built by :class:`ProbeFrame`,
+        each is answered by one batch table call, and the answers are
+        scattered back by position.  ``frame.probes`` is read only to
+        call the admission hook; each group settles its refused members
+        first and answers the rest.
         """
         out = np.zeros(len(frame), dtype=np.float64)
-        verdicts = self._apply_admission(frame.probes, admission)
-        rejected: Optional[np.ndarray] = None
-        if verdicts is not None:
-            mask = np.zeros(len(frame), dtype=bool)
-            for position, verdict in enumerate(verdicts):
-                if verdict is not None:
-                    mask[position] = True
-                    out[position] = self._reject_probe(
-                        frame.probes[position],
-                        str(verdict),
-                        policy=policy,
-                        trace=trace,
-                        position=position,
-                    )
-            if mask.any():
-                rejected = mask
+        verdicts = self._verdicts(frame, admission)
         for group in frame.equality_groups:
-            positions = group.positions
-            values = group.values
-            if rejected is not None:
-                keep = ~rejected[positions]
-                if not keep.all():
-                    if not keep.any():
-                        continue
-                    positions = positions[keep]
-                    if isinstance(values, np.ndarray):
-                        values = values[keep]
-                    else:
-                        values = [values[i] for i in np.nonzero(keep)[0]]
-            out[positions] = self._answer_equalities(
-                group.relation,
-                group.attribute,
-                values,
-                policy=policy,
-                trace=trace,
-                positions=positions,
-            )
-            self.metrics.record_probes("equality", len(positions))
+            positions, values = group.positions, group.values
+            if verdicts is not None:
+                sides = [(group.relation, group.attribute)]
+                admitted = self._admit(verdicts, "equality", sides, positions, policy, trace)
+                if admitted is not None:
+                    keep, settled = admitted
+                    out[positions] = settled
+                    positions, values = positions[keep], _kept(values, keep)
+            if positions.size:
+                out[positions] = self._answer_equalities(
+                    "equality",
+                    group.relation,
+                    group.attribute,
+                    values,
+                    policy,
+                    trace,
+                    positions,
+                )
+            self.metrics.record_probes("equality", group.positions.size)
         for group in frame.range_groups:
-            positions = group.positions
-            lows = group.lows
-            highs = group.highs
-            low_codes = group.low_codes
-            high_codes = group.high_codes
-            low_open = group.low_open
-            high_open = group.high_open
-            if rejected is not None:
-                keep = ~rejected[positions]
-                if not keep.all():
-                    if not keep.any():
-                        continue
-                    keep_index = np.nonzero(keep)[0]
+            positions, lows, highs = group.positions, group.lows, group.highs
+            codes = None
+            if group.low_codes is not None:
+                codes = (group.low_codes, group.high_codes, group.low_open, group.high_open)
+            if verdicts is not None:
+                sides = [(group.relation, group.attribute)]
+                admitted = self._admit(verdicts, "range", sides, positions, policy, trace)
+                if admitted is not None:
+                    keep, settled = admitted
+                    out[positions] = settled
                     positions = positions[keep]
-                    lows = [lows[i] for i in keep_index]
-                    highs = [highs[i] for i in keep_index]
-                    low_codes = None if low_codes is None else low_codes[keep]
-                    high_codes = None if high_codes is None else high_codes[keep]
-                    low_open = None if low_open is None else low_open[keep]
-                    high_open = None if high_open is None else high_open[keep]
-            out[positions] = self._answer_ranges(
-                group.relation,
-                group.attribute,
-                lows,
-                highs,
-                group.include_low,
-                group.include_high,
-                policy=policy,
-                trace=trace,
-                positions=positions,
-                low_codes=low_codes,
-                high_codes=high_codes,
-                low_open=low_open,
-                high_open=high_open,
-            )
-            self.metrics.record_probes("range", len(positions))
+                    lows, highs = _kept(lows, keep), _kept(highs, keep)
+                    if codes is not None:
+                        codes = tuple(None if c is None else c[keep] for c in codes)
+            if positions.size:
+                out[positions] = self._answer_ranges(
+                    group.relation,
+                    group.attribute,
+                    lows,
+                    highs,
+                    group.include_low,
+                    group.include_high,
+                    policy,
+                    trace,
+                    positions,
+                    codes,
+                )
+            self.metrics.record_probes("range", group.positions.size)
         for group in frame.join_groups:
             positions = group.positions
-            if rejected is not None:
-                keep = ~rejected[positions]
-                if not keep.all():
-                    if not keep.any():
-                        continue
-                    positions = positions[keep]
-            out[positions] = self._answer_join(
-                group.left_relation,
-                group.left_attribute,
-                group.right_relation,
-                group.right_attribute,
-                policy=policy,
-                trace=trace,
-                positions=positions,
-                count=len(positions),
+            sides = (
+                (group.left_relation, group.left_attribute),
+                (group.right_relation, group.right_attribute),
             )
-            self.metrics.record_probes("join", len(positions))
+            if verdicts is not None:
+                admitted = self._admit(verdicts, "join", sides, positions, policy, trace)
+                if admitted is not None:
+                    keep, settled = admitted
+                    out[positions] = settled
+                    positions = positions[keep]
+            if positions.size:
+                out[positions] = self._answer_join(sides, policy, trace, positions)
+            self.metrics.record_probes("join", group.positions.size)
         return out
 
     def stats(self) -> ServiceMetrics:

@@ -11,7 +11,7 @@ from repro.engine.catalog import StatsCatalog
 from repro.engine.relation import Relation
 from repro.obs import runtime
 from repro.obs.tracing import add_span_sink, clear_span_sinks
-from repro.serve import EqualityProbe, EstimationService
+from repro.serve import EqualityProbe, EstimationService, ProbeFrame
 
 
 @pytest.fixture(autouse=True)
@@ -177,3 +177,35 @@ class TestBatchSpans:
         assert records == []
         # Plain ServiceMetrics counters still work when obs is off.
         assert service.stats().probes_served == 1
+
+    def test_only_a_list_batch_builds_its_frame_inside_the_batch_span(self, service):
+        probes = [EqualityProbe("R", "a", 1)]
+        frame = ProbeFrame.from_probes(probes)
+        records = []
+        add_span_sink(records.append)
+        service.estimate_batch(probes)
+        service.estimate_batch(frame)
+        batches = [r for r in records if r.name == "serve.batch"]
+        builds = [r for r in records if r.name == "serve.frame.build"]
+        assert len(batches) == 2
+        assert [b.parent_id for b in builds] == [batches[0].span_id]
+
+
+class TestBatchAccounting:
+    def test_invalid_probe_counts_as_a_failed_batch(self, service):
+        with pytest.raises(TypeError):
+            service.estimate_batch(["not a probe"])
+        stats = service.stats()
+        assert stats.batches_failed == 1
+        assert stats.batches_served == 0
+
+    def test_not_equal_looks_its_table_up_once(self, service):
+        service.estimate_equality("R", "a", 1)  # warm the table
+        before = service.stats()
+        service.estimate_equality("R", "a", 1)
+        after_equality = service.stats()
+        service.estimate_not_equal("R", "a", 1)
+        after_not_equal = service.stats()
+        assert after_equality.table_hits - before.table_hits == 1
+        assert after_not_equal.table_hits - after_equality.table_hits == 1
+        assert after_not_equal.table_misses == before.table_misses
