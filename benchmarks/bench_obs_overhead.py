@@ -3,10 +3,11 @@
 The telemetry layer was built around one budget: spans and counters on
 the batch boundary, never per probe.  This bench drives the same
 10k-probe batch with instrumentation enabled and disabled
-(:func:`repro.obs.set_instrumentation`) and checks the enabled path
-costs at most 5% extra wall time (plus a small absolute epsilon so
+(:func:`repro.obs.set_instrumentation`), one on/off pair per round, and
+checks that the median of the per-round on/off ratios stays within 5%
+(or within a small absolute epsilon of the median disabled time, so
 sub-millisecond jitter cannot fail the gate on fast machines).  The
-measured pair is also written to ``benchmarks/results/BENCH_obs.json``
+measured figures are also written to ``benchmarks/results/BENCH_obs.json``
 so overhead can be tracked across revisions.
 """
 
@@ -33,7 +34,7 @@ N_RELATIONS = 4
 TOTAL = 4000
 DOMAIN = 100
 N_PROBES = 10_000
-ROUNDS = 15
+ROUNDS = 31
 MAX_OVERHEAD = 0.05
 #: Absolute slack for scheduler jitter only.  This must stay well under
 #: ``off_seconds * MAX_OVERHEAD`` (≈250µs for the ~5ms batch measured
@@ -83,29 +84,33 @@ def run_obs_overhead():
     # Warm the compiled-table cache so neither arm pays compile time.
     service.estimate_batch(probes[:100])
 
-    # Interleave the arms round by round: background-load drift then hits
-    # both arms equally instead of landing on whichever arm ran second,
-    # and best-of-N damps whatever jitter remains.  Measured sequentially
-    # on a single-core box, the on-vs-off delta wobbled by ±8% — far
-    # above the 5% budget this gate enforces.
-    on_seconds = off_seconds = float("inf")
-    on_answer = off_answer = None
+    # Pair the arms round by round, alternating which runs first, and
+    # judge the median of the per-round on/off ratios.  A pair shares
+    # the host's speed of the moment, so background-load drift cancels
+    # inside each ratio, and the median ignores the rounds a stall hit.
+    # Measured sequentially on a single-core box, the on-vs-off delta
+    # wobbled by ±8%, and comparing the best of 15 runs per arm still
+    # failed about one run in four on an unchanged tree.
+    on_times: list[float] = []
+    off_times: list[float] = []
+    answers = {}
     try:
-        for _ in range(ROUNDS):
-            runtime.set_instrumentation(True)
-            elapsed, on_answer = _timed_batch(service, probes)
-            on_seconds = min(on_seconds, elapsed)
-            runtime.set_instrumentation(False)
-            elapsed, off_answer = _timed_batch(service, probes)
-            off_seconds = min(off_seconds, elapsed)
+        for round_index in range(ROUNDS):
+            arms = (True, False) if round_index % 2 == 0 else (False, True)
+            for enabled in arms:
+                runtime.set_instrumentation(enabled)
+                elapsed, answers[enabled] = _timed_batch(service, probes)
+                (on_times if enabled else off_times).append(elapsed)
     finally:
         runtime.set_instrumentation(True)
 
+    on, off = np.asarray(on_times), np.asarray(off_times)
     return {
-        "on_seconds": on_seconds,
-        "off_seconds": off_seconds,
-        "on_answer": on_answer,
-        "off_answer": off_answer,
+        "ratio": float(np.median(on / off)),
+        "on_seconds": float(np.median(on)),
+        "off_seconds": float(np.median(off)),
+        "on_answer": answers[True],
+        "off_answer": answers[False],
         "stats": service.stats(),
     }
 
@@ -113,11 +118,15 @@ def run_obs_overhead():
 def test_obs_overhead_within_budget(benchmark):
     result = benchmark.pedantic(run_obs_overhead, rounds=1, iterations=1)
     on, off = result["on_seconds"], result["off_seconds"]
-    overhead = (on - off) / off if off > 0 else 0.0
+    overhead = result["ratio"] - 1.0
+    # The budget: within 5%, or within the jitter-sized absolute slack.
+    # The epsilon is deliberately small relative to the batch time so an
+    # over-budget run fails here instead of hiding inside the slack.
+    allowed = max(MAX_OVERHEAD, EPSILON_SECONDS / off)
 
     record_report(
         f"Observability overhead — {N_PROBES}-probe batch, instrumentation "
-        f"on vs off (interleaved, best of {ROUNDS})",
+        f"on vs off (paired rounds, median of {ROUNDS})",
         format_table(
             ["arm", "seconds", "probes/sec"],
             [
@@ -136,6 +145,7 @@ def test_obs_overhead_within_budget(benchmark):
                 "bench": "obs_overhead",
                 "probes": N_PROBES,
                 "rounds": ROUNDS,
+                "statistic": "median of per-round paired on/off ratios",
                 "instrumented_seconds": on,
                 "disabled_seconds": off,
                 "overhead_fraction": overhead,
@@ -150,10 +160,7 @@ def test_obs_overhead_within_budget(benchmark):
     assert np.array_equal(result["on_answer"], result["off_answer"])
     # The off arm still keeps its plain ServiceMetrics counters.
     assert result["stats"].probes_served >= (ROUNDS * 2 + 1) * 100
-    # The budget: within 5%, plus jitter-sized absolute slack.  The
-    # epsilon is deliberately small relative to the batch time so an
-    # over-budget run fails here instead of hiding inside the slack.
-    assert on <= max(off * (1.0 + MAX_OVERHEAD), off + EPSILON_SECONDS), (
-        f"instrumentation overhead {overhead:.1%} exceeds {MAX_OVERHEAD:.0%} "
-        f"(on={on:.4f}s off={off:.4f}s)"
+    assert overhead <= allowed, (
+        f"instrumentation overhead {overhead:.1%} (median paired ratio) exceeds "
+        f"{MAX_OVERHEAD:.0%} (median on={on:.4f}s off={off:.4f}s)"
     )

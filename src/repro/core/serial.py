@@ -54,7 +54,18 @@ def _prepare(frequencies, buckets: int) -> tuple[np.ndarray, int]:
 
 
 def _prefix_sums(ordered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Prefix sums of *ordered* and of its squares, each led by a 0."""
+    """Prefix sums of *ordered* and of its squares, each led by a 0.
+
+    The values are first shifted down by their minimum, rounded down to
+    an integer.  A bucket's SSE does not change under a shift, but
+    computed as ``Σf² − (Σf)²/n`` from float64 sums it cancels to
+    rounding noise once ``M·max²`` nears 2**53 — frequencies like
+    ``1e9 + {0, 1, 2}`` — while the shifted sums stay as small as the
+    spread of the values.  An integer shift is exact for every value
+    below 2**53 and keeps integer frequencies integers.
+    """
+    if ordered.size:
+        ordered = ordered - np.floor(ordered.min())
     prefix_sum = np.concatenate([[0.0], np.cumsum(ordered, dtype=np.float64)])
     prefix_sq = np.concatenate([[0.0], np.cumsum(ordered * ordered, dtype=np.float64)])
     return prefix_sum, prefix_sq

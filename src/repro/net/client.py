@@ -46,6 +46,7 @@ from repro.net import protocol
 from repro.obs import tracing
 from repro.obs.tracing import TraceContext, span
 from repro.serve.service import Probe, ProbeTrace
+from repro.util.rng import derive_rng
 
 #: Default connect/read timeout (seconds).
 DEFAULT_TIMEOUT = 30.0
@@ -112,6 +113,8 @@ class RetrySchedule:
 
     *clock* and *rng* are injectable for deterministic tests; the clock
     only ever measures durations, so a monotonic source is the default.
+    Without an *rng*, an OS-seeded generator is derived on the first
+    jittered delay, so an operation that never retries never builds one.
     """
 
     def __init__(
@@ -132,13 +135,11 @@ class RetrySchedule:
             raise ValueError(f"jitter must be in [0, 1), got {jitter}")
         if max_elapsed is not None and max_elapsed <= 0.0:
             raise ValueError(f"max_elapsed must be > 0, got {max_elapsed}")
-        from repro.util.rng import derive_rng
-
         self.retries = int(retries)
         self.base = float(base)
         self.jitter = float(jitter)
         self.max_elapsed = None if max_elapsed is None else float(max_elapsed)
-        self._rng = derive_rng(rng)
+        self._rng = None if rng is None else derive_rng(rng)
         self._clock = clock
         self._start = float(clock())
 
@@ -152,6 +153,8 @@ class RetrySchedule:
             return None
         delay = self.base * (2.0**attempt)
         if self.jitter:
+            if self._rng is None:
+                self._rng = derive_rng(None)
             delay *= 1.0 + self.jitter * (2.0 * float(self._rng.random()) - 1.0)
         if self.max_elapsed is not None:
             remaining = self.max_elapsed - self.elapsed()

@@ -31,24 +31,28 @@ One :class:`EstimationServer` wraps one in-process
   ``net.stream`` spans, and per-tenant labeled counters in the default
   metric registry (``repro_net_batches_total{tenant=...}`` and friends).
 
-What runs where: the event-loop thread parses each request's JSON,
-decodes its probes (per entry at v1/v2; at v3 ``columns_from_wire`` and
-``ProbeFrame.from_columns``) and computes the admission masks; only
-``estimate_batch`` runs on the default executor, and the result is
-encoded and streamed back on the loop.  A batch's decode therefore
-holds the loop — other connections' frames and accepts wait behind it —
-and on 2000-probe equality/range batches it costs about twice the
-answer (see docs/NETWORK.md).
+What runs where: everything runs on the event-loop thread.  Each
+request's JSON parse, its probe decode (per entry at v1/v2; at v3
+``columns_from_wire`` and ``ProbeFrame.from_columns``), the admission
+masks and ``estimate_batch`` run as one synchronous step, and the result
+is then encoded and streamed back.  There is no executor hop: on
+2000-probe equality/range batches the decode alone costs more than the
+answer, and the two thread handoffs cost more than the answer saved by
+running it off the loop.  A batch therefore holds the loop for its
+decode plus its answer — other connections' frames and accepts wait
+behind both (see docs/NETWORK.md) — and no answer is ever still running
+when :meth:`EstimationServer.stop` runs.
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -79,6 +83,10 @@ DEFAULT_TRACEZ_SPANS = 512
 
 #: Traces shown per ``/v1/tracez`` response.
 DEFAULT_TRACEZ_TRACES = 20
+
+#: How long :meth:`EstimationServer.stop` lets handlers that are still
+#: writing a response finish it before cancelling them.
+STOP_DRAIN_SECONDS = 5.0
 
 #: A readiness probe: returns ``(ok, detail)``.  Raising counts as
 #: failing — a readiness check must never take the server down.
@@ -117,9 +125,12 @@ class TenantConfig:
 
     ``max_probes_per_batch`` rejects the *tail* of an oversized batch
     (the prefix inside quota is still answered); ``max_pending_probes``
-    bounds the tenant's probes concurrently in flight across all its
-    connections — the backpressure knob.  Either limit at ``0`` means
-    unlimited.
+    bounds the tenant's probes in flight across all its connections —
+    the backpressure knob.  A batch's admitted probes stay pending from
+    admission until its answer has been handed to the transport, so the
+    bound covers the answers held behind a slow reader: while one
+    connection's write-out stalls, the tenant's other connections get
+    only the remaining room.  Either limit at ``0`` means unlimited.
     """
 
     name: str
@@ -219,8 +230,11 @@ class EstimationServer:
                 TenantConfig(name="public", token="-")
             )
         self._server: Optional[asyncio.base_events.Server] = None
-        # Live connection handlers; stop() cancels and awaits them.
+        # Live connection handlers, and those of them answering a request
+        # they hold; stop() drains the second set and cancels the rest.
         self._handlers: set[asyncio.Task] = set()
+        self._responding: set[asyncio.Task] = set()
+        self._stopping = False
         # Ops surface state: named readiness checks (deep /v1/ready) and
         # the bounded recent-span buffer behind /v1/tracez.  The deque is
         # appended from whatever thread finishes a span (append is
@@ -250,6 +264,7 @@ class EstimationServer:
         """Bind and start accepting; returns the bound address."""
         if self._server is not None:
             raise RuntimeError("server is already started")
+        self._stopping = False
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self.port
         )
@@ -263,19 +278,31 @@ class EstimationServer:
         return address
 
     async def stop(self) -> None:
-        """Stop accepting, end every open connection, close the sockets.
+        """Stop accepting, drain the responses in flight, end every connection.
 
-        Connection handlers are cancelled and awaited before
-        ``wait_closed()``, which on Python 3.12 waits for open connections;
-        a handler left pending would be destroyed with its loop.  A
-        cancelled batch releases its tenant's pending probes on the way out.
+        The listener closes first.  Handlers waiting for a request are
+        cancelled at once.  A handler that holds a request is still
+        writing its response (batches are answered on the loop, so none
+        is mid-answer): it gets :data:`STOP_DRAIN_SECONDS` to finish
+        writing, then ends instead of reading another request, and is
+        cancelled if the deadline passes first.  Every handler is awaited
+        before ``wait_closed()``, which on Python 3.12 waits for open
+        connections, so none is destroyed pending with its loop; a
+        cancelled write-out aborts its connection and releases its
+        tenant's pending probes on the way out.
         """
         if self._server is None:
             return
+        self._stopping = True
         self._server.close()
-        for task in self._handlers:
+        for task in self._handlers - self._responding:
             task.cancel()
-        await asyncio.gather(*self._handlers, return_exceptions=True)
+        if self._responding:
+            await asyncio.wait(set(self._responding), timeout=STOP_DRAIN_SECONDS)
+        while self._handlers:
+            for task in self._handlers:
+                task.cancel()
+            await asyncio.gather(*self._handlers, return_exceptions=True)
         await self._server.wait_closed()
         self._server = None
         if self._tracez_sink_installed:
@@ -375,13 +402,26 @@ class EstimationServer:
             rows.append(row)
         return rows
 
+    @contextlib.contextmanager
+    def _responding_to_request(self) -> Iterator[None]:
+        """Mark this handler as answering a request it holds (see :meth:`stop`)."""
+        task = asyncio.current_task()
+        self._responding.add(task)
+        try:
+            yield
+        finally:
+            self._responding.discard(task)
+
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         task = asyncio.current_task()
         self._handlers.add(task)
         obs.count("repro_net_connections_total", server=self.name)
+        cancelled = False
         try:
+            if self._stopping:
+                return  # accepted just before stop() closed the listener
             # Detached span: connections are concurrent tasks on one
             # thread, so a stack-based span here would cross-contaminate
             # parentage between peers.  Each connection gets its own
@@ -406,12 +446,19 @@ class EstimationServer:
             # Only stop() cancels a handler.  The task ends normally so
             # that start_server's done-callback (Python 3.11) does not log
             # the cancellation as an unhandled exception.
-            pass
+            cancelled = True
         finally:
-            writer.close()
+            # A cancelled handler aborts: a graceful close would wait to
+            # flush output that a stalled peer may never read.
+            if cancelled:
+                writer.transport.abort()
+            else:
+                writer.close()
             try:
                 await writer.wait_closed()
-            except (ConnectionError, OSError, asyncio.CancelledError):
+            except asyncio.CancelledError:
+                writer.transport.abort()
+            except (ConnectionError, OSError):
                 pass
             self._handlers.discard(task)
 
@@ -495,28 +542,28 @@ class EstimationServer:
                 server=self.name,
             ),
         )
-        while True:
+        while not self._stopping:
             request = await self._read_frame(reader)
             if request is None:
                 return
-            op = request.get("op")
-            if op == "ping":
-                await self._send_frame(
-                    writer, protocol.message("pong", version=conn_version)
-                )
-                continue
-            if op == "batch":
-                await self._handle_batch(request, tenant, writer, conn_version)
-                continue
-            await self._send_frame(
-                writer,
-                protocol.message(
-                    "error",
-                    version=conn_version,
-                    code="unknown-op",
-                    detail=f"unknown op {op!r}",
-                ),
-            )
+            with self._responding_to_request():
+                op = request.get("op")
+                if op == "ping":
+                    await self._send_frame(
+                        writer, protocol.message("pong", version=conn_version)
+                    )
+                elif op == "batch":
+                    await self._handle_batch(request, tenant, writer, conn_version)
+                else:
+                    await self._send_frame(
+                        writer,
+                        protocol.message(
+                            "error",
+                            version=conn_version,
+                            code="unknown-op",
+                            detail=f"unknown op {op!r}",
+                        ),
+                    )
 
     # ------------------------------------------------------------------
     # Batch execution (shared by the framed and HTTP paths)
@@ -533,8 +580,7 @@ class EstimationServer:
     ) -> _DecodedBatch:
         """Decode one batch payload and apply admission limits.
 
-        Runs on the event loop (admission state is loop-confined); the
-        heavy estimation work happens in the executor afterwards.  A
+        Runs on the event loop, which confines the admission state.  A
         malformed entry fails only its own position; structural junk in
         a ``columns`` payload raises :class:`~repro.net.protocol.WireCodecError`.
         """
@@ -597,6 +643,7 @@ class EstimationServer:
         return _DecodedBatch(probes, verdicts, count)
 
     def _release_pending(self, batch: _DecodedBatch, tenant: _TenantState) -> None:
+        """End the batch's hold on the tenant's ``max_pending_probes`` room."""
         if tenant.config.max_pending_probes:
             tenant.pending_probes -= batch.admitted
 
@@ -631,32 +678,27 @@ class EstimationServer:
         want_traces: bool,
         context: Optional[TraceContext] = None,
     ) -> tuple[np.ndarray, Optional[list[ProbeTrace]]]:
-        """Answer the decoded batch through the shared service (executor)."""
-        # Re-attach the request's trace on this executor thread so the
-        # service's serve.batch span parents to our net.batch span.
-        token = tracing.attach(context) if context is not None else None
-        try:
-            return self._run_batch_traced(batch, tenant_name, on_error, want_traces)
-        finally:
-            if context is not None:
-                tracing.detach(token)
+        """Answer the decoded batch through the shared service, on the loop.
 
-    def _run_batch_traced(
-        self,
-        batch: _DecodedBatch,
-        tenant_name: str,
-        on_error: Optional[str],
-        want_traces: bool,
-    ) -> tuple[np.ndarray, Optional[list[ProbeTrace]]]:
+        The request's trace is attached for the call so the service's
+        ``serve.batch`` span parents to the ``net.batch`` span; no
+        ``await`` falls between the attach and the detach, so no other
+        connection's task can run under this trace.
+        """
         # Trace records are built only for a request that asked for them.
         traces: Optional[list[ProbeTrace]] = [] if want_traces else None
         verdicts = batch.verdicts
-        estimates = self.service.estimate_batch(
-            batch.probes,
-            on_error=on_error,
-            trace=None if traces is None else traces.append,
-            admission=None if verdicts is None else lambda probes: verdicts,
-        )
+        token = tracing.attach(context) if context is not None else None
+        try:
+            estimates = self.service.estimate_batch(
+                batch.probes,
+                on_error=on_error,
+                trace=None if traces is None else traces.append,
+                admission=None if verdicts is None else lambda probes: verdicts,
+            )
+        finally:
+            if context is not None:
+                tracing.detach(token)
         obs.count(
             "repro_net_probes_total",
             len(batch.probes),
@@ -672,7 +714,7 @@ class EstimationServer:
             )
         return estimates, traces
 
-    async def _execute_batch(
+    def _execute_batch(
         self,
         form: str,
         payload: object,
@@ -682,23 +724,25 @@ class EstimationServer:
         *,
         version: int,
         context: Optional[TraceContext] = None,
-    ) -> tuple[np.ndarray, Optional[list[ProbeTrace]]]:
+    ) -> tuple[_DecodedBatch, np.ndarray, Optional[list[ProbeTrace]]]:
+        """Decode, admit and answer one batch in one synchronous step.
+
+        The batch's admitted probes stay pending on return: the caller
+        releases them (:meth:`_release_pending`) once the answer has been
+        handed to the transport.  A batch that fails to answer releases
+        them here.
+        """
         batch = self._decode_batch(
             form, payload, tenant, version=version, context=context
         )
-        loop = asyncio.get_running_loop()
         try:
-            return await loop.run_in_executor(
-                None,
-                self._run_batch,
-                batch,
-                tenant.config.name,
-                on_error,
-                want_traces,
-                context,
+            estimates, traces = self._run_batch(
+                batch, tenant.config.name, on_error, want_traces, context
             )
-        finally:
+        except BaseException:
             self._release_pending(batch, tenant)
+            raise
+        return batch, estimates, traces
 
     async def _handle_batch(
         self,
@@ -730,7 +774,7 @@ class EstimationServer:
                 tenant=tenant.config.name,
             )
             try:
-                estimates, traces = await self._execute_batch(
+                batch, estimates, traces = self._execute_batch(
                     form,
                     payload,
                     tenant,
@@ -760,14 +804,17 @@ class EstimationServer:
                     ),
                 )
                 return
-            await self._stream_result(
-                writer,
-                request_id,
-                estimates,
-                traces,
-                version=version,
-                context=batch_span.context,
-            )
+            try:
+                await self._stream_result(
+                    writer,
+                    request_id,
+                    estimates,
+                    traces,
+                    version=version,
+                    context=batch_span.context,
+                )
+            finally:
+                self._release_pending(batch, tenant)
 
     async def _send_protocol_error(
         self,
@@ -854,6 +901,16 @@ class EstimationServer:
             )
         except (asyncio.TimeoutError, asyncio.IncompleteReadError, asyncio.LimitOverrunError):
             return
+        with self._responding_to_request():
+            await self._answer_http(header_blob, reader, writer)
+
+    async def _answer_http(
+        self,
+        header_blob: bytes,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
+    ) -> None:
+        """Route one HTTP request by its head, read its body, respond."""
         head = header_blob.decode("latin-1")
         request_line, _, header_text = head.partition("\r\n")
         parts = request_line.split()
@@ -943,7 +1000,7 @@ class EstimationServer:
                 tenant=tenant.config.name,
             )
             try:
-                estimates, traces = await self._execute_batch(
+                batch, estimates, traces = self._execute_batch(
                     form,
                     entries,
                     tenant,
@@ -962,15 +1019,18 @@ class EstimationServer:
                     {"error": str(exc), "error_type": type(exc).__name__},
                 )
                 return
-        payload = protocol.message(
-            "result",
-            version=req_version,
-            count=int(estimates.size),
-            estimates=protocol.encode_estimates(estimates),
-        )
-        if traces is not None:
-            payload["traces"] = [protocol.trace_to_wire(t) for t in traces]
-        await _http_respond(writer, 200, payload)
+        try:
+            payload = protocol.message(
+                "result",
+                version=req_version,
+                count=int(estimates.size),
+                estimates=protocol.encode_estimates(estimates),
+            )
+            if traces is not None:
+                payload["traces"] = [protocol.trace_to_wire(t) for t in traces]
+            await _http_respond(writer, 200, payload)
+        finally:
+            self._release_pending(batch, tenant)
 
 
 def _declared_probes(form: str, payload: object) -> object:

@@ -71,6 +71,11 @@ _TWO53_INT = 9007199254740992
 #: floats, bools).
 _FAST_DTYPE_KINDS = "iufb"
 
+#: Range-bound types a numeric domain refuses: NumPy would compare them
+#: with the float codes as text in ``searchsorted``, and parse a numeric
+#: one (``"1.5"``) in a float64 conversion.
+_TEXT_TYPES = (str, bytes)
+
 
 def _is_numeric_domain(values: Iterable[Hashable]) -> bool:
     """True when every value is a real number (bools excluded)."""
@@ -152,6 +157,9 @@ def _bound_codes(
     bounds: Sequence[Optional[Hashable]], open_code: float
 ) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """One side's float64 codes and open-bound mask (raises if not numeric)."""
+    if not (isinstance(bounds, np.ndarray) and bounds.dtype.kind in _FAST_DTYPE_KINDS):
+        if any(issubclass(kind, _TEXT_TYPES) for kind in set(map(type, bounds))):
+            raise TypeError("text range bounds over a numeric domain")
     codes = np.asarray(bounds, dtype=np.float64)
     # NumPy reads a None bound as NaN, so only a NaN code needs the exact
     # pass that pins open bounds to ±inf and masks them.
@@ -415,6 +423,11 @@ class CompiledHistogram:
                 "values are not mutually comparable"
             )
         if self._numeric:
+            if isinstance(low, _TEXT_TYPES) or isinstance(high, _TEXT_TYPES):
+                raise TypeError(
+                    f"range bounds ({low!r}, {high!r}) are not comparable "
+                    "with a numeric domain"
+                )
             lo = (
                 0
                 if low is None

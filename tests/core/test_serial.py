@@ -1,5 +1,7 @@
 """Tests for repro.core.serial — V-OptHist and its dynamic program."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from repro.core.serial import (
     v_optimal_serial_histogram,
 )
 from repro.data.zipf import zipf_frequencies
+from repro.util.rng import derive_rng
 
 
 class TestEnumerateSerialPartitions:
@@ -222,3 +225,53 @@ class TestDpSortedPartition:
     def test_overflowing_squares_refused(self):
         with pytest.raises(ValueError, match="overflow"):
             v_opt_hist_dp([1e200, 1e200, 1.0], 2)
+
+
+def _exact_sse(ordered, sizes):
+    """Σ p·v of the contiguous partition *sizes* of *ordered*, in Fractions."""
+    values = [Fraction(int(v)) for v in ordered]
+    total = Fraction(0)
+    start = 0
+    for size in sizes:
+        block = values[start : start + size]
+        mean = sum(block) / size
+        total += sum((v - mean) ** 2 for v in block)
+        start += size
+    return total
+
+
+class TestLargeNearEqualFrequencies:
+    """Frequencies near 1e9 that differ by 0–2.  Raw float64 prefix sums
+    of squares cancel to noise there; every search shifts by the minimum
+    first and must find the exact optimum (checked in Fractions)."""
+
+    FREQS = np.sort(1e9 + derive_rng(0).integers(0, 3, 34))
+
+    @pytest.mark.parametrize("beta", [2, 3])
+    def test_dps_find_the_exact_optimum(self, beta):
+        ascending = self.FREQS
+        descending = ascending[::-1].copy()
+        for ordered in (ascending, descending):
+            best = min(
+                _exact_sse(ordered, sizes)
+                for sizes in enumerate_serial_partitions(ordered.size, beta)
+            )
+            assert _exact_sse(ordered, dp_sorted_partition(ordered, beta)) == best
+            assert _exact_sse(ordered, dp_contiguous_partition(ordered, beta)) == best
+
+    def test_two_bucket_optimum(self):
+        assert dp_sorted_partition(self.FREQS, 2) == (21, 13)
+        assert dp_contiguous_partition(self.FREQS, 2) == (21, 13)
+
+    def test_exhaustive_search_and_error_agree_with_fractions(self):
+        descending = self.FREQS[::-1].copy()
+        histogram = v_opt_hist_exhaustive(self.FREQS, 2)
+        sizes = tuple(len(bucket) for bucket in histogram.buckets)
+        best = min(
+            _exact_sse(descending, sizes)
+            for sizes in enumerate_serial_partitions(descending.size, 2)
+        )
+        assert _exact_sse(descending, sizes) == best
+        assert serial_error_from_sizes(self.FREQS, sizes) == pytest.approx(
+            float(best), rel=1e-12
+        )

@@ -63,6 +63,25 @@ class TestDelays:
         second = schedule(jitter=0.25, max_elapsed=None, rng=derive_rng(2))
         assert first.next_delay(3) != second.next_delay(3)
 
+    def test_injected_rng_is_converted_at_construction(self):
+        seeded = schedule(jitter=0.25, max_elapsed=None, rng=9)
+        generator = schedule(jitter=0.25, max_elapsed=None, rng=derive_rng(9))
+        assert seeded._rng is not None
+        assert [seeded.next_delay(a) for a in range(5)] == [
+            generator.next_delay(a) for a in range(5)
+        ]
+
+    def test_default_rng_is_derived_on_the_first_jittered_delay(self):
+        # An operation whose first attempt succeeds never asks for a
+        # delay, so it must not pay for an OS-seeded generator.
+        jittered = schedule(jitter=0.25, max_elapsed=None)
+        assert jittered._rng is None
+        assert 0.75 <= jittered.next_delay(0) <= 1.25
+        assert jittered._rng is not None
+        plain = schedule(jitter=0.0, max_elapsed=None)
+        assert plain.next_delay(0) == 1.0
+        assert plain._rng is None
+
     def test_retries_exhausted_returns_none(self):
         sched = schedule(retries=2, jitter=0.0, max_elapsed=None)
         assert sched.next_delay(1) is not None

@@ -30,12 +30,14 @@ from repro.engine.relation import Relation
 from repro.net import (
     AsyncEstimationClient,
     AuthenticationError,
+    ClientError,
     EstimationClient,
     RemoteBatchError,
     TenantConfig,
     protocol,
     serve_in_thread,
 )
+from repro.net import server as server_module
 from repro.net.protocol import probes_to_wire
 from repro.obs import runtime
 from repro.obs.tracing import add_span_sink, clear_span_sinks
@@ -46,6 +48,7 @@ from repro.serve import (
     RangeProbe,
 )
 from repro.serve.service import REASON_BACKPRESSURE, REASON_QUOTA_EXCEEDED
+from repro.util.rng import derive_rng
 
 
 @pytest.fixture(autouse=True)
@@ -120,6 +123,60 @@ def trace_key(trace):
         trace.degraded,
         value,
     )
+
+
+class StalledWrite:
+    """A server ``_send_frame`` that holds the first ``chunk`` frame.
+
+    The write-out of that answer waits (on the event loop, without
+    blocking it) until :attr:`release` is set; :attr:`entered` is set
+    once the stall has begun.
+    """
+
+    def __init__(self, send):
+        self._send = send
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    async def __call__(self, writer, obj):
+        if obj.get("op") == "chunk" and not self.entered.is_set():
+            self.entered.set()
+            while not self.release.is_set():
+                await asyncio.sleep(0.005)
+        await self._send(writer, obj)
+
+
+def wait_until(condition, timeout=10.0):
+    """Poll *condition* from the test thread; True once it holds."""
+    deadline = time.monotonic() + timeout
+    while not condition():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.002)
+    return True
+
+
+def open_peer(address, token="tok"):
+    """A raw framed connection past its hello/welcome exchange."""
+    peer = socket.create_connection(address, timeout=10)
+    peer.sendall(protocol.encode_frame(protocol.hello_request(token=token)))
+    welcome = protocol.FrameDecoder().feed(peer.recv(65536))
+    assert welcome[0]["op"] == "welcome"
+    return peer
+
+
+def read_frames_to_eof(peer):
+    """Every frame a raw peer receives until the server closes it."""
+    decoder = protocol.FrameDecoder()
+    frames = []
+    while True:
+        try:
+            data = peer.recv(65536)
+        except ConnectionResetError:
+            return frames
+        if not data:
+            return frames
+        frames.extend(decoder.feed(data))
 
 
 class TestLoopbackBitIdentity:
@@ -341,6 +398,52 @@ class TestAdmission:
                     ]
                     assert sorted(t.position for t in rejected) == list(range(4, 10))
                     assert out.shape == (10,)
+
+    def test_backpressure_counts_answers_held_behind_a_stalled_write(
+        self, catalog, monkeypatch
+    ):
+        """A tenant's probes stay pending until their answer is written
+        out, so a stalled write-out on one connection shrinks the room of
+        the tenant's other connections."""
+        service = EstimationService(catalog)
+        reference = EstimationService(catalog)
+        tenants = [TenantConfig(name="acme", token="tok", max_pending_probes=8)]
+        probes_a = mixed_probes(5)
+        probes_b = [EqualityProbe("R", "a", i % 5) for i in range(6)]
+        verdicts_b = [None] * 3 + [REASON_BACKPRESSURE] * 3
+        expected_a = reference.estimate_batch(probes_a)
+        expected_b = reference.estimate_batch(
+            probes_b, admission=lambda batch: verdicts_b
+        )
+        with serve_in_thread(service, tenants=tenants) as handle:
+            stall = StalledWrite(handle.server._send_frame)
+            monkeypatch.setattr(handle.server, "_send_frame", stall)
+            tenant = handle.server._tenants_by_token["tok"]
+            answers = {}
+
+            def send_a():
+                with EstimationClient(*handle.address, token="tok") as client:
+                    answers["a"] = client.estimate_batch(probes_a)
+
+            thread = threading.Thread(target=send_a)
+            thread.start()
+            try:
+                assert stall.entered.wait(10)
+                assert tenant.pending_probes == 5
+                traces = []
+                with EstimationClient(*handle.address, token="tok") as client:
+                    out_b = client.estimate_batch(probes_b, trace=traces.append)
+                pressed = [t.position for t in traces if t.reason == REASON_BACKPRESSURE]
+                assert sorted(pressed) == [3, 4, 5]
+                assert out_b.tobytes() == expected_b.tobytes()
+                # B's answer is written out; A's is still held.
+                assert wait_until(lambda: tenant.pending_probes == 5)
+            finally:
+                stall.release.set()
+                thread.join(10)
+            assert not thread.is_alive()
+            assert answers["a"].tobytes() == expected_a.tobytes()
+            assert wait_until(lambda: tenant.pending_probes == 0)
 
     @pytest.mark.parametrize("transport", ["sdk", "http"])
     def test_trace_records_only_when_the_request_asks(self, catalog, monkeypatch, transport):
@@ -616,40 +719,202 @@ class TestInstrumentation:
 
 class TestLifecycle:
     def test_stop_ends_open_connections(self, service, caplog, monkeypatch):
-        """Stopping with one idle peer and one batch in flight leaves no
-        pending handler task, no asyncio error and no pending probes."""
+        """Stopping with one idle peer and one response write-out stalled
+        cuts the idle peer off, drains the write-out — the stalled peer
+        gets its whole answer — and leaves no pending handler task, no
+        asyncio error and no pending probes."""
+        # A deadline far past the joins below: stop() must end because the
+        # drained handler closes after its answer, not because time ran out.
+        monkeypatch.setattr(server_module, "STOP_DRAIN_SECONDS", 60.0)
         tenants = [TenantConfig(name="acme", token="tok", max_pending_probes=100)]
-        entered = threading.Event()
-        release = threading.Event()
-        answer = service.estimate_batch
-
-        def blocked_answer(*args, **kwargs):
-            entered.set()
-            release.wait(10)
-            return answer(*args, **kwargs)
-
-        handle = serve_in_thread(service, tenants=tenants)
-        tenant = handle.server._tenants_by_token["tok"]
-        peers = [socket.create_connection(handle.address, timeout=10) for _ in range(2)]
+        handle = serve_in_thread(service, tenants=tenants, chunk_probes=16)
+        server = handle.server
+        tenant = server._tenants_by_token["tok"]
+        stall = StalledWrite(server._send_frame)
+        monkeypatch.setattr(server, "_send_frame", stall)
+        probes = mixed_probes(40)
+        peers = [open_peer(handle.address) for _ in range(2)]
+        stopper = threading.Thread(target=handle.stop)
         try:
-            for peer in peers:
-                peer.sendall(protocol.encode_frame(protocol.hello_request(token="tok")))
-                welcome = protocol.FrameDecoder().feed(peer.recv(65536))
-                assert welcome[0]["op"] == "welcome"
-            monkeypatch.setattr(service, "estimate_batch", blocked_answer)
-            batch = protocol.batch_request(
-                probes_to_wire([EqualityProbe("R", "a", 1)] * 5), request_id=1
+            peers[1].sendall(
+                protocol.encode_frame(
+                    protocol.batch_request(probes_to_wire(probes), request_id=1)
+                )
             )
-            peers[1].sendall(protocol.encode_frame(batch))
-            assert entered.wait(10)
-            assert tenant.pending_probes == 5
+            assert stall.entered.wait(10)
+            assert tenant.pending_probes == 40
             with caplog.at_level(logging.ERROR, logger="asyncio"):
-                handle.stop()
+                stopper.start()
+                # The idle peer is cut off while the write-out is drained.
+                assert read_frames_to_eof(peers[0]) == []
+                assert stopper.is_alive()
+                stall.release.set()
+                stopper.join(30)
                 gc.collect()
+            assert not stopper.is_alive()
             assert not handle._thread.is_alive()
+            assert server._handlers == set()
             assert [r for r in caplog.records if r.name == "asyncio"] == []
             assert tenant.pending_probes == 0
+            frames = read_frames_to_eof(peers[1])
+            assert [f["op"] for f in frames] == ["chunk"] * 3
+            assert frames[-1]["eof"]
+            out = np.concatenate(
+                [protocol.decode_estimates(f["estimates"]) for f in frames]
+            )
+            assert out.tobytes() == service.estimate_batch(probes).tobytes()
         finally:
-            release.set()
+            stall.release.set()
+            if stopper.is_alive():
+                stopper.join(30)
+            handle.stop()
             for peer in peers:
                 peer.close()
+
+    def test_stop_drains_an_http_response_being_written(self, service, monkeypatch):
+        """An HTTP shim answer is drained like a framed one: the client
+        gets its whole 200 response and the probes are released."""
+        monkeypatch.setattr(server_module, "STOP_DRAIN_SECONDS", 60.0)
+        tenants = [TenantConfig(name="acme", token="tok", max_pending_probes=100)]
+        handle = serve_in_thread(service, tenants=tenants)
+        tenant = handle.server._tenants_by_token["tok"]
+        entered, release = threading.Event(), threading.Event()
+        respond = server_module._http_respond
+
+        async def stalled_respond(writer, status, payload):
+            entered.set()
+            while not release.is_set():
+                await asyncio.sleep(0.005)
+            await respond(writer, status, payload)
+
+        monkeypatch.setattr(server_module, "_http_respond", stalled_respond)
+        probes = mixed_probes(30)
+        body = json.dumps(
+            protocol.columns_request(protocol.probes_to_columns(probes), request_id=1)
+        )
+        replies = {}
+
+        def post():
+            conn = http.client.HTTPConnection(*handle.address, timeout=10)
+            conn.request(
+                "POST", "/v1/batch", body=body, headers={"Authorization": "Bearer tok"}
+            )
+            response = conn.getresponse()
+            replies["status"] = response.status
+            replies["payload"] = json.loads(response.read())
+            conn.close()
+
+        poster = threading.Thread(target=post)
+        stopper = threading.Thread(target=handle.stop)
+        poster.start()
+        try:
+            assert entered.wait(10)
+            assert tenant.pending_probes == 30
+            stopper.start()
+            assert wait_until(lambda: handle.server._stopping)
+            assert stopper.is_alive()
+            release.set()
+            stopper.join(30)
+            poster.join(30)
+        finally:
+            release.set()
+            handle.stop()
+        assert not stopper.is_alive()
+        assert not poster.is_alive()
+        assert replies["status"] == 200
+        out = protocol.decode_estimates(replies["payload"]["estimates"])
+        assert out.tobytes() == service.estimate_batch(probes).tobytes()
+        assert tenant.pending_probes == 0
+
+    def test_stop_cancels_a_write_out_past_the_drain_deadline(
+        self, service, caplog, monkeypatch
+    ):
+        """A write-out still stalled at the drain deadline is cancelled:
+        its connection is aborted and its probes are released."""
+        monkeypatch.setattr(server_module, "STOP_DRAIN_SECONDS", 0.2)
+        tenants = [TenantConfig(name="acme", token="tok", max_pending_probes=100)]
+        handle = serve_in_thread(service, tenants=tenants)
+        server = handle.server
+        tenant = server._tenants_by_token["tok"]
+        stall = StalledWrite(server._send_frame)
+        monkeypatch.setattr(server, "_send_frame", stall)
+        peer = open_peer(handle.address)
+        try:
+            peer.sendall(
+                protocol.encode_frame(
+                    protocol.batch_request(
+                        probes_to_wire([EqualityProbe("R", "a", 1)] * 5), request_id=1
+                    )
+                )
+            )
+            assert stall.entered.wait(10)
+            assert tenant.pending_probes == 5
+            with caplog.at_level(logging.ERROR, logger="asyncio"):
+                started = time.monotonic()
+                handle.stop()
+                elapsed = time.monotonic() - started
+                gc.collect()
+            assert 0.2 <= elapsed < 10.0
+            assert not handle._thread.is_alive()
+            assert server._handlers == set()
+            assert [r for r in caplog.records if r.name == "asyncio"] == []
+            assert tenant.pending_probes == 0
+            assert read_frames_to_eof(peer) == []
+        finally:
+            stall.release.set()
+            handle.stop()
+            peer.close()
+
+    @pytest.mark.parametrize("seed", [11, 12, 13, 14, 15])
+    def test_stop_under_load_answers_bit_identically(self, catalog, seed):
+        """stop() while several SDK clients loop batches: no task is
+        destroyed pending, no probe stays pending, and every batch that
+        got an answer matches the in-process one bit for bit."""
+        gen = derive_rng(seed)
+        reference = EstimationService(catalog)
+        batches = []
+        for size in gen.integers(1, 400, size=6):
+            probes = mixed_probes(int(size))
+            batches.append([probes[i] for i in gen.permutation(len(probes))])
+        expected = [reference.estimate_batch(batch).tobytes() for batch in batches]
+        tenants = [TenantConfig(name="acme", token="tok", max_pending_probes=10**6)]
+        handle = serve_in_thread(
+            EstimationService(catalog), tenants=tenants, chunk_probes=64
+        )
+        loop_errors = []
+        handle._loop.set_exception_handler(lambda loop, context: loop_errors.append(context))
+        tenant = handle.server._tenants_by_token["tok"]
+        answered = []
+        client_errors = []
+
+        def client_loop(index):
+            order = derive_rng(seed * 100 + index).integers(0, len(batches), size=10_000)
+            try:
+                with EstimationClient(*handle.address, token="tok", retries=0) as client:
+                    for pick in order.tolist():
+                        out = client.estimate_batch(batches[pick])
+                        answered.append((pick, out.tobytes()))
+            except (ClientError, OSError):
+                pass  # the server stopped under this client
+            except Exception as exc:  # pragma: no cover - reported below
+                client_errors.append(exc)
+
+        threads = [threading.Thread(target=client_loop, args=(i,)) for i in range(4)]
+        stop_after = 5 + int(gen.integers(0, 20))
+        for thread in threads:
+            thread.start()
+        try:
+            assert wait_until(lambda: len(answered) >= stop_after)
+            handle.stop()
+        finally:
+            handle.stop()
+            for thread in threads:
+                thread.join(30)
+        assert not any(thread.is_alive() for thread in threads)
+        gc.collect()
+        assert not handle._thread.is_alive()
+        assert handle.server._handlers == set()
+        assert loop_errors == []
+        assert client_errors == []
+        assert tenant.pending_probes == 0
+        assert all(out == expected[pick] for pick, out in answered)

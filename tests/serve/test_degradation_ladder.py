@@ -199,6 +199,16 @@ RANGE = [
     Cell("range", "incomparable-bound", ("T", "s", 1, None),
          REASON_INCOMPARABLE_BOUND, ("T", "s"), T_ROWS * DEFAULT_RANGE_SELECTIVITY,
          TypeError),
+    # Text bounds over a numeric domain, which NumPy would compare (or,
+    # for "2.5", parse) as text, are incomparable too.
+    Cell("range", "text-low-bound", ("R", "a", "x", None),
+         REASON_INCOMPARABLE_BOUND, ("R", "a"), RANGE_R, TypeError),
+    Cell("range", "text-high-bound", ("R", "a", 1, "x"),
+         REASON_INCOMPARABLE_BOUND, ("R", "a"), RANGE_R, TypeError),
+    Cell("range", "numeric-text-bound", ("R", "a", 1, "2.5"),
+         REASON_INCOMPARABLE_BOUND, ("R", "a"), RANGE_R, TypeError),
+    Cell("range", "bytes-bound", ("R", "a", b"1", None),
+         REASON_INCOMPARABLE_BOUND, ("R", "a"), RANGE_R, TypeError),
 ]
 
 JOIN = [
@@ -383,3 +393,24 @@ def test_mixed_group_splits_unhashable_members(catalog):
     assert out[1] == 0.0
     assert out[2] == service.estimate_equality("R", "a", 2)
     assert [(t.reason, t.position) for t in traces] == [(REASON_UNHASHABLE_VALUE, 1)]
+
+
+@pytest.mark.parametrize("framed", [False, True])
+def test_text_bounds_over_a_numeric_domain_degrade_alone(catalog, framed):
+    service = EstimationService(catalog)
+    traces = []
+    probes = [
+        RangeProbe("R", "a", 1, 3),
+        RangeProbe("R", "a", 1, "x"),
+        RangeProbe("R", "a", "2", None),
+        RangeProbe("R", "a", 2, None),
+    ]
+    batch = ProbeFrame.from_probes(probes) if framed else probes
+    out = service.estimate_batch(batch, trace=traces.append)
+    assert out[0] == service.estimate_range("R", "a", 1, 3)
+    assert out[1] == out[2] == RANGE_R
+    assert out[3] == service.estimate_range("R", "a", 2, None)
+    assert sorted((t.position, t.reason) for t in traces) == [
+        (1, REASON_INCOMPARABLE_BOUND),
+        (2, REASON_INCOMPARABLE_BOUND),
+    ]
