@@ -28,15 +28,11 @@ from repro.core import (
     equi_depth_histogram,
     equi_width_histogram,
     estimate_chain,
-    estimate_chain_size,
     estimate_equality,
-    estimate_equality_selection,
     estimate_join,
-    estimate_join_size,
     estimate_membership,
     estimate_not_equal,
     estimate_range,
-    estimate_range_selection,
     estimate_self_join,
     joint_matrix_algorithm,
     matrix_algorithm,
@@ -67,15 +63,11 @@ __all__ = [
     "equi_depth_histogram",
     "equi_width_histogram",
     "estimate_chain",
-    "estimate_chain_size",
     "estimate_equality",
-    "estimate_equality_selection",
     "estimate_join",
-    "estimate_join_size",
     "estimate_membership",
     "estimate_not_equal",
     "estimate_range",
-    "estimate_range_selection",
     "estimate_self_join",
     "joint_matrix_algorithm",
     "matrix_algorithm",

@@ -12,7 +12,7 @@ layer, so downstream code can write::
 or import the names directly (``from repro.api import EstimationService``).
 Anything importable here follows the project's deprecation policy: removed
 spellings keep a shim for one minor release, announced via
-``DeprecationWarning`` and the migration table in ``docs/API.md``.
+``DeprecationWarning`` and a note in ``docs/API.md``.
 Internal modules (``repro.core.*``, ``repro.serve.tables``, ...) remain
 importable but offer no such promise.
 

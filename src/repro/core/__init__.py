@@ -88,19 +88,12 @@ from repro.core.multidim import (
 from repro.core.estimator import (
     EstimateOptions,
     approximate_chain,
-    approximate_chain_matrices,
     estimate_chain,
-    estimate_chain_size,
     estimate_equality,
-    estimate_equality_selection,
-    estimate_in_selection,
     estimate_join,
-    estimate_join_size,
     estimate_membership,
     estimate_not_equal,
-    estimate_not_equals,
     estimate_range,
-    estimate_range_selection,
     estimate_self_join,
     relative_error,
 )
@@ -155,19 +148,12 @@ __all__ = [
     "matrix_algorithm_2d",
     "EstimateOptions",
     "approximate_chain",
-    "approximate_chain_matrices",
     "estimate_chain",
-    "estimate_chain_size",
     "estimate_equality",
-    "estimate_equality_selection",
-    "estimate_in_selection",
     "estimate_join",
-    "estimate_join_size",
     "estimate_membership",
     "estimate_not_equal",
-    "estimate_not_equals",
     "estimate_range",
-    "estimate_range_selection",
     "estimate_self_join",
     "relative_error",
     "FrequencyTensor",

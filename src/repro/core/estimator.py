@@ -22,18 +22,10 @@ The canonical surface is histogram-first with keyword-only options:
 compiled lookup table (:mod:`repro.serve.tables`), compiled once per
 histogram, so repeated calls — and the batched service layer — return
 bit-identical floats.
-
-The pre-1.1 spellings (``estimate_equality_selection``,
-``estimate_in_selection``, ``estimate_not_equals``,
-``estimate_range_selection``, ``estimate_join_size``,
-``estimate_chain_size``, ``approximate_chain_matrices``) remain as thin
-shims that emit :class:`DeprecationWarning`; see ``docs/API.md`` for the
-migration table.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Hashable, Iterable, Optional, Sequence
 
@@ -80,14 +72,6 @@ def _compiled(histogram: Histogram) -> "CompiledHistogram":
 def _value_approximations(histogram: Histogram) -> dict[Hashable, float]:
     """Map each domain value to its bucket-average approximation."""
     return _compiled(histogram).as_mapping()
-
-
-def _warn_deprecated(old: str, new: str) -> None:
-    warnings.warn(
-        f"{old} is deprecated; use {new} (migration notes in docs/API.md)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -242,79 +226,3 @@ def relative_error(exact: float, estimate: float) -> float:
     if exact == 0:
         return 0.0 if estimate == 0 else float("inf")
     return abs(exact - estimate) / exact
-
-
-# ----------------------------------------------------------------------
-# Deprecated pre-1.1 spellings
-# ----------------------------------------------------------------------
-
-
-def estimate_equality_selection(histogram: Histogram, value: Hashable) -> float:  # repolint: boundary-exempt — forwards to validating canonical fn
-    """Deprecated alias of :func:`estimate_equality`."""
-    _warn_deprecated("estimate_equality_selection", "estimate_equality")
-    return estimate_equality(histogram, value)
-
-
-def estimate_in_selection(histogram: Histogram, values: Iterable[Hashable]) -> float:  # repolint: boundary-exempt — forwards to validating canonical fn
-    """Deprecated alias of :func:`estimate_membership`."""
-    _warn_deprecated("estimate_in_selection", "estimate_membership")
-    return estimate_membership(histogram, values)
-
-
-def estimate_not_equals(histogram: Histogram, value: Hashable) -> float:  # repolint: boundary-exempt — forwards to validating canonical fn
-    """Deprecated alias of :func:`estimate_not_equal`."""
-    _warn_deprecated("estimate_not_equals", "estimate_not_equal")
-    return estimate_not_equal(histogram, value)
-
-
-# repolint: boundary-exempt — forwards to validating canonical fn
-def estimate_range_selection(
-    histogram: Histogram,
-    low: Optional[Hashable] = None,
-    high: Optional[Hashable] = None,
-    *,
-    include_low: bool = True,
-    include_high: bool = True,
-) -> float:
-    """Deprecated alias of :func:`estimate_range` (options went keyword-only)."""
-    _warn_deprecated("estimate_range_selection", "estimate_range")
-    return estimate_range(
-        histogram,
-        low,
-        high,
-        options=EstimateOptions(include_low=include_low, include_high=include_high),
-    )
-
-
-def estimate_join_size(left: Histogram, right: Histogram) -> float:  # repolint: boundary-exempt — forwards to validating canonical fn
-    """Deprecated alias of :func:`estimate_join`."""
-    _warn_deprecated("estimate_join_size", "estimate_join")
-    return estimate_join(left, right)
-
-
-# repolint: boundary-exempt — forwards to validating canonical fn
-def approximate_chain_matrices(
-    matrices: Sequence[MatrixLike],
-    histograms: Sequence[Histogram],
-    *,
-    rounded: bool = False,
-) -> list[np.ndarray]:
-    """Deprecated alias of :func:`approximate_chain` (argument order flipped)."""
-    _warn_deprecated("approximate_chain_matrices", "approximate_chain")
-    return approximate_chain(
-        histograms, matrices, options=EstimateOptions(rounded=rounded)
-    )
-
-
-# repolint: boundary-exempt — forwards to validating canonical fn
-def estimate_chain_size(
-    matrices: Sequence[MatrixLike],
-    histograms: Sequence[Histogram],
-    *,
-    rounded: bool = False,
-) -> float:
-    """Deprecated alias of :func:`estimate_chain` (argument order flipped)."""
-    _warn_deprecated("estimate_chain_size", "estimate_chain")
-    return estimate_chain(
-        histograms, matrices, options=EstimateOptions(rounded=rounded)
-    )

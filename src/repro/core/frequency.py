@@ -16,7 +16,8 @@ sequence of numbers.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Sequence, Union
+from operator import itemgetter
+from typing import Hashable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -25,6 +26,34 @@ from repro.util.rng import RandomSource, derive_rng
 #: Anything ``as_frequency_array`` accepts: the two core statistic views,
 #: a numpy array, or any plain sequence of numbers.
 FrequencyLike = Union["FrequencySet", "AttributeDistribution", np.ndarray, Sequence[float]]
+
+
+def int64_column(values: Sequence[Hashable]) -> Optional[np.ndarray]:  # repolint: boundary-exempt — returning None *is* the rejection path
+    """The int64 array of *values*, or ``None`` when the general path must run.
+
+    The typing rule of the array-native build path (``Matrix`` and the
+    compiled lookup table): every value a plain ``int`` within int64.
+    ``bool`` (``True`` and ``1`` merge as dict keys, keeping the first
+    object seen), NumPy integer scalars, floats, strings, mixed columns and
+    ints beyond int64 all return ``None`` and keep the per-value code.  An
+    empty column, or one whose first value is not an ``int``, is rejected
+    before any pass over the rest.
+    """
+    if len(values) == 0 or type(values[0]) is not int:
+        return None
+    if set(map(type, values)) != {int}:
+        return None
+    try:
+        return np.fromiter(values, dtype=np.int64, count=len(values))
+    except OverflowError:
+        return None
+
+
+def _take(values: Sequence, indices: list[int]) -> tuple:
+    """``tuple(values[i] for i in indices)`` in one C-level pass."""
+    if len(indices) < 2:
+        return tuple(values[i] for i in indices)
+    return itemgetter(*indices)(values)
 
 
 def as_frequency_array(frequencies: FrequencyLike) -> np.ndarray:
@@ -164,14 +193,34 @@ class AttributeDistribution:
 
     @classmethod
     def from_column(cls, column: Iterable[Hashable]) -> "AttributeDistribution":
-        """Count duplicates in a raw column (the paper's ``Matrix`` step)."""
-        counts: dict[Hashable, int] = {}
-        for value in column:
-            counts[value] = counts.get(value, 0) + 1
-        if not counts:
-            raise ValueError("column must be non-empty")
-        values = list(counts.keys())
-        return cls(values, [float(counts[v]) for v in values])
+        """Count duplicates in a raw column (the paper's ``Matrix`` step).
+
+        A list or tuple that is an int64 column (:func:`int64_column`) is
+        counted with one sort; each distinct value is the column's object at
+        its first position, exactly the key the dict count below keeps.
+        Every other column, including any iterable that is not a list or
+        tuple, is counted in the dict as it streams, without a copy.
+        """
+        codes = int64_column(column) if isinstance(column, (list, tuple)) else None
+        if codes is None:
+            counts: dict[Hashable, int] = {}
+            for value in column:
+                counts[value] = counts.get(value, 0) + 1
+            if not counts:
+                raise ValueError("column must be non-empty")
+            values = list(counts.keys())
+            return cls(values, [float(counts[v]) for v in values])
+        positions = np.argsort(codes)
+        ranked = codes[positions]
+        starts = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
+        first = np.minimum.reduceat(positions, starts)
+        counts = np.diff(starts, append=ranked.size).astype(np.float64)
+        counts.setflags(write=False)
+        # Distinct and already in natural order: skip the constructor's checks.
+        distribution = cls.__new__(cls)
+        distribution._values = _take(column, first.tolist())
+        distribution._frequencies = counts
+        return distribution
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[Hashable, float]]) -> "AttributeDistribution":

@@ -19,7 +19,7 @@ Classification predicates implement the paper's taxonomy:
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Hashable, Iterable, Optional, Sequence
+from typing import Hashable, Optional, Sequence
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from repro.core.frequency import (
     AttributeDistribution,
     FrequencyLike,
     FrequencySet,
+    _take,
     as_frequency_array,
 )
 
@@ -63,16 +64,19 @@ class Histogram:
         values: Optional[Sequence[Hashable]] = None,
     ):
         freqs = as_frequency_array(frequencies)
-        groups = tuple(tuple(int(i) for i in group) for group in index_groups)
-        if not groups:
+        arrays = [np.asarray(group, dtype=np.intp) for group in index_groups]
+        if not arrays:
             raise ValueError("a histogram needs at least one bucket")
-        flat = [i for group in groups for i in group]
-        if sorted(flat) != list(range(freqs.size)):
+        if any(group.ndim != 1 for group in arrays):
+            raise TypeError("each index group must be a flat sequence of ints")
+        flat = np.sort(np.concatenate(arrays))
+        if not np.array_equal(flat, np.arange(freqs.size, dtype=np.intp)):
             raise ValueError(
                 "index_groups must partition the frequency indices exactly"
             )
-        if any(len(group) == 0 for group in groups):
+        if any(group.size == 0 for group in arrays):
             raise ValueError("buckets must be non-empty")
+        groups = tuple(tuple(group.tolist()) for group in arrays)
         if values is not None:
             values = tuple(values)
             if len(values) != freqs.size:
@@ -89,10 +93,10 @@ class Histogram:
         self._compiled = None
         self._buckets = tuple(
             Bucket(
-                freqs[list(group)],
-                values=None if values is None else tuple(values[i] for i in group),
+                freqs[array],
+                values=None if values is None else _take(values, group),
             )
-            for group in groups
+            for array, group in zip(arrays, groups)
         )
         maybe_check_histogram(self)
 
@@ -126,11 +130,7 @@ class Histogram:
                 f"({freqs.size})"
             )
         order = np.argsort(-freqs, kind="stable")
-        groups = []
-        start = 0
-        for size in sizes:
-            groups.append(tuple(int(i) for i in order[start : start + size]))
-            start += size
+        groups = np.split(order, np.cumsum(sizes[:-1], dtype=np.int64))
         return cls(freqs, groups, kind=kind, values=values)
 
     @classmethod

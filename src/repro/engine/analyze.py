@@ -1,6 +1,6 @@
 """ANALYZE: statistics collection into the catalog.
 
-Runs the ``Matrix`` algorithm over a relation's column (one hash-counting
+Runs the ``Matrix`` algorithm over a relation's column (one counting
 scan) and builds the requested histogram, storing it — and, for biased
 histograms, its compact catalog form — in the :class:`StatsCatalog`.
 This is the operational face of Section 4: per-relation, query-independent
@@ -12,20 +12,23 @@ from __future__ import annotations
 from typing import Iterable, Optional, Sequence
 
 from repro.core.biased import v_opt_bias_hist
+from repro.core.frequency import AttributeDistribution
 from repro.core.heuristic import equi_depth_histogram, equi_width_histogram, trivial_histogram
 from repro.core.histogram import Histogram
 from repro.core.serial import v_optimal_serial_histogram
 from repro.engine.catalog import CatalogEntry, CompactEndBiased, StatsCatalog
 from repro.engine.relation import Relation
 from repro.engine.sampling import sampled_end_biased_histogram
+from repro.obs.tracing import span
 from repro.util.validation import ensure_positive_int
 
 #: Histogram kinds ANALYZE can build.
 ANALYZE_KINDS = ("trivial", "equi-width", "equi-depth", "end-biased", "serial", "sampled")
 
 
-def _build_histogram(kind: str, relation: Relation, attribute: str, buckets: int) -> Histogram:
-    distribution = relation.frequency_distribution(attribute)
+def _build_histogram(
+    kind: str, distribution: AttributeDistribution, buckets: int
+) -> Histogram:
     buckets = min(buckets, distribution.domain_size)
     if kind == "trivial":
         return trivial_histogram(distribution)
@@ -56,45 +59,42 @@ def analyze_relation(
 
     ``kind="sampled"`` uses the Section 4.2 shortcut (Space-Saving sketch,
     no exact frequency distribution); every other kind runs the exact
-    ``Matrix`` step first.  The default mirrors DB2's practice: an
-    end-biased histogram with ~10 explicitly stored values.
+    ``Matrix`` step first, whose domain size is the distinct count.  The
+    default mirrors DB2's practice: an end-biased histogram with ~10
+    explicitly stored values.  The work runs in an ``engine.analyze`` span
+    tagged with the kind and the bucket count.
     """
     buckets = ensure_positive_int(buckets, "buckets")
     if relation.cardinality == 0:
         raise ValueError(f"cannot analyze empty relation {relation.name!r}")
 
-    if kind == "sampled":
-        compact = sampled_end_biased_histogram(
-            relation.column(attribute),
-            buckets,
-            relation.cardinality,
-            relation.distinct_count(attribute),
-        )
+    with span("engine.analyze", kind=kind, buckets=buckets):
+        histogram: Optional[Histogram] = None
+        compact: Optional[CompactEndBiased] = None
+        if kind == "sampled":
+            distinct_count = relation.distinct_count(attribute)
+            compact = sampled_end_biased_histogram(
+                relation.column(attribute),
+                buckets,
+                relation.cardinality,
+                distinct_count,
+            )
+        else:
+            distribution = relation.frequency_distribution(attribute)
+            histogram = _build_histogram(kind, distribution, buckets)
+            distinct_count = distribution.domain_size
+            if histogram.is_biased():
+                compact = CompactEndBiased.from_histogram(histogram)
         entry = CatalogEntry(
             relation=relation.name,
             attribute=attribute,
             kind=kind,
-            histogram=None,
+            histogram=histogram,
             compact=compact,
-            distinct_count=relation.distinct_count(attribute),
+            distinct_count=distinct_count,
             total_tuples=float(relation.cardinality),
         )
         return catalog.put(entry)
-
-    histogram = _build_histogram(kind, relation, attribute, buckets)
-    compact: Optional[CompactEndBiased] = None
-    if histogram.is_biased():
-        compact = CompactEndBiased.from_histogram(histogram)
-    entry = CatalogEntry(
-        relation=relation.name,
-        attribute=attribute,
-        kind=kind,
-        histogram=histogram,
-        compact=compact,
-        distinct_count=relation.distinct_count(attribute),
-        total_tuples=float(relation.cardinality),
-    )
-    return catalog.put(entry)
 
 
 def analyze_database(

@@ -11,8 +11,7 @@ attribute) registry the optimizer consults.
 from __future__ import annotations
 
 import threading
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Hashable, Optional
 
 from repro.core.histogram import Histogram
@@ -99,16 +98,6 @@ class CompactEndBiased:
         if assume_in_domain and self.remainder_count > 0:
             return self.remainder_average
         return 0.0
-
-    def estimate(self, value: Hashable, *, assume_in_domain: bool = True) -> float:
-        """Deprecated alias of :meth:`estimate_frequency`."""
-        warnings.warn(
-            "CompactEndBiased.estimate is deprecated; use "
-            "CompactEndBiased.estimate_frequency (see docs/API.md)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.estimate_frequency(value, assume_in_domain=assume_in_domain)
 
 
 @dataclass

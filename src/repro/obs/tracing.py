@@ -80,6 +80,7 @@ SPAN_NAMES: tuple[str, ...] = (
     "persist.save",
     "persist.load",
     "persist.recover",
+    "engine.analyze",
     "maint.publish",
     "maint.rebuild",
     "agent.job",

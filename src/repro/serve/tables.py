@@ -50,10 +50,12 @@ construction.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from itertools import chain
 from typing import TYPE_CHECKING, Hashable, Iterable, Optional, Sequence
 
 import numpy as np
 
+from repro.core.frequency import int64_column
 from repro.obs.tracing import span
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
@@ -225,40 +227,46 @@ class CompiledHistogram:
             )
         # Last write wins on duplicate values — the semantics of the legacy
         # per-call dict the compiled table replaces.
-        by_value: dict[Hashable, float] = {}
-        for value, approx in zip(values, approximations):
-            by_value[value] = float(approx)
+        by_value: dict[Hashable, float] = dict(
+            zip(values, np.asarray(approximations, dtype=np.float64).tolist())
+        )
         self._by_value = by_value
         self._numeric = False
         self._codes = None
         approx_sorted: Optional[np.ndarray] = None
-        if _is_numeric_domain(by_value) and _codes_are_lossless(by_value):
+        ints = int64_column(list(by_value))
+        if ints is not None and bool(np.all((ints > -_TWO53_INT) & (ints < _TWO53_INT))):
+            # Plain ints strictly inside ±2**53: each value *is* its code.
+            codes = ints.astype(np.float64)
+        elif _is_numeric_domain(by_value) and _codes_are_lossless(by_value):
             try:
                 codes = np.asarray(list(by_value), dtype=np.float64)
             except (TypeError, ValueError, OverflowError):
                 # An int beyond the float64 range has no lossless code.
                 codes = None
-            if codes is not None:
-                order = np.argsort(codes, kind="stable")
-                sorted_codes = codes[order]
-                if codes.size > 1 and bool(
-                    np.any(sorted_codes[1:] == sorted_codes[:-1])
-                ):
-                    # Float64 collapse: two distinct domain values share a
-                    # code (integers at/beyond 2**53).  The vectorized path
-                    # would match probes to neighbours and violate the
-                    # uniqueness contract of intersect1d in join_with —
-                    # serve this table through the exact path instead.
-                    codes = None
-                else:
-                    self._numeric = True
-                    self._codes = sorted_codes
-                    ordered = list(by_value.items())
-                    self._sorted_values = [ordered[int(i)][0] for i in order]
-                    approx_sorted = np.asarray(
-                        [ordered[int(i)][1] for i in order], dtype=np.float64
-                    )
-                    self._orderable = True
+        else:
+            codes = None
+        if codes is not None:
+            order = np.argsort(codes, kind="stable")
+            sorted_codes = codes[order]
+            if codes.size > 1 and bool(
+                np.any(sorted_codes[1:] == sorted_codes[:-1])
+            ):
+                # Float64 collapse: two distinct domain values share a
+                # code (integers at/beyond 2**53).  The vectorized path
+                # would match probes to neighbours and violate the
+                # uniqueness contract of intersect1d in join_with —
+                # serve this table through the exact path instead.
+                codes = None
+            else:
+                self._numeric = True
+                self._codes = sorted_codes
+                # Range bounds bisect the codes; the values stay unsorted.
+                self._sorted_values = None
+                approx_sorted = np.asarray(
+                    list(by_value.values()), dtype=np.float64
+                )[order]
+                self._orderable = True
         if not self._numeric:
             try:
                 self._sorted_values = sorted(by_value)
@@ -287,13 +295,12 @@ class CompiledHistogram:
             raise ValueError(
                 "estimation by value requires a histogram built with domain values"
             )
-        values: list[Hashable] = []
-        approximations: list[float] = []
-        for bucket in histogram.buckets:
-            average = bucket.average
-            for value in bucket.values:
-                values.append(value)
-                approximations.append(average)
+        buckets = histogram.buckets
+        values = list(chain.from_iterable(bucket.values for bucket in buckets))
+        approximations = np.repeat(
+            np.array([bucket.average for bucket in buckets], dtype=np.float64),
+            [bucket.count for bucket in buckets],
+        )
         return cls(values, approximations)
 
     # ------------------------------------------------------------------

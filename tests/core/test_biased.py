@@ -1,5 +1,7 @@
 """Tests for repro.core.biased — V-OptBiasHist and the end-biased class."""
 
+import heapq
+
 import numpy as np
 import pytest
 
@@ -10,9 +12,39 @@ from repro.core.biased import (
     end_biased_sizes,
     v_opt_bias_hist,
 )
+from repro.core.histogram import Histogram
 from repro.core.serial import v_opt_hist_exhaustive
 from repro.data.synthetic import reverse_zipf_frequencies
 from repro.data.zipf import zipf_frequencies
+
+
+def heap_selection_sizes(freqs: np.ndarray, buckets: int) -> tuple[int, ...]:
+    """V-OptBiasHist's bucket sizes with the extremes picked by heaps.
+
+    The selection as first written (``heapq.nlargest``/``nsmallest`` over
+    the frequency list), kept as the reference for the ``np.partition``
+    one; valid for ``1 < buckets < len(freqs)``.
+    """
+    singles = buckets - 1
+    values = freqs.tolist()
+    top = np.sort(np.array(heapq.nlargest(singles, values), dtype=np.float64))[::-1]
+    bottom = np.sort(np.array(heapq.nsmallest(singles, values), dtype=np.float64))[::-1]
+    top_sum = np.concatenate([[0.0], np.cumsum(top, dtype=np.float64)])
+    top_sq = np.concatenate([[0.0], np.cumsum(top * top, dtype=np.float64)])
+    bottom_rev = bottom[::-1]
+    bottom_sum = np.concatenate([[0.0], np.cumsum(bottom_rev, dtype=np.float64)])
+    bottom_sq = np.concatenate([[0.0], np.cumsum(bottom_rev * bottom_rev, dtype=np.float64)])
+    total_sum = float(freqs.sum())
+    total_sq = float(np.dot(freqs, freqs))
+    best_high, best_error = 0, np.inf
+    for high in range(singles, -1, -1):
+        low = singles - high
+        seg_sum = total_sum - top_sum[high] - bottom_sum[low]
+        seg_sq = total_sq - top_sq[high] - bottom_sq[low]
+        error = seg_sq - seg_sum * seg_sum / (freqs.size - singles)
+        if error < best_error - 1e-12:
+            best_error, best_high = error, high
+    return end_biased_sizes(freqs.size, buckets, best_high)
 
 
 class TestEndBiasedSizes:
@@ -118,8 +150,6 @@ class TestVOptBiasHist:
 
     def test_matches_bruteforce_split(self, zipf_small):
         """Cross-check against directly evaluating every high/low split."""
-        from repro.core.histogram import Histogram
-
         beta = 4
         best_direct = min(
             Histogram.from_sorted_sizes(
@@ -128,6 +158,26 @@ class TestVOptBiasHist:
             for h in range(beta)
         )
         assert v_opt_bias_hist(zipf_small, beta).self_join_error() == pytest.approx(best_direct)
+
+    def test_selection_matches_the_heap_reference(self, rng):
+        """2000 random frequency sets, heavy ties and floats included."""
+        for trial in range(2000):
+            size = int(rng.integers(3, 60))
+            shape = trial % 4
+            if shape == 0:  # heavy ties
+                freqs = rng.integers(0, 4, size).astype(np.float64)
+            elif shape == 1:  # floats
+                freqs = rng.random(size) * 100.0
+            elif shape == 2:  # a few distinct levels, far apart
+                freqs = rng.choice([0.5, 7.0, 7.0, 1e6], size)
+            else:  # skewed counts
+                freqs = np.floor(rng.pareto(1.0, size) * 10.0)
+            buckets = int(rng.integers(2, size))
+            expected = Histogram.from_sorted_sizes(
+                freqs, heap_selection_sizes(freqs, buckets), kind="end-biased"
+            )
+            chosen = v_opt_bias_hist(freqs, buckets)
+            assert chosen.index_groups == expected.index_groups, (trial, freqs, buckets)
 
     def test_values_propagated(self):
         hist = v_opt_bias_hist([5.0, 1.0, 3.0], 2, values=["a", "b", "c"])

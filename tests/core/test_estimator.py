@@ -7,19 +7,12 @@ from repro.core.biased import v_opt_bias_hist
 from repro.core.estimator import (
     EstimateOptions,
     approximate_chain,
-    approximate_chain_matrices,
     estimate_chain,
-    estimate_chain_size,
     estimate_equality,
-    estimate_equality_selection,
-    estimate_in_selection,
     estimate_join,
-    estimate_join_size,
     estimate_membership,
     estimate_not_equal,
-    estimate_not_equals,
     estimate_range,
-    estimate_range_selection,
     estimate_self_join,
     relative_error,
 )
@@ -178,56 +171,3 @@ class TestRelativeError:
 
     def test_exact_match(self):
         assert relative_error(7.0, 7.0) == 0.0
-
-
-class TestDeprecatedShims:
-    """The pre-1.1 spellings warn but still forward to the canonical paths."""
-
-    @pytest.fixture
-    def hist(self):
-        return value_aware_hist([1, 2, 3, 4, 5], [10.0, 8.0, 6.0, 4.0, 2.0], 5)
-
-    def test_equality_selection_warns_and_matches(self, hist):
-        with pytest.warns(DeprecationWarning, match="estimate_equality"):
-            legacy = estimate_equality_selection(hist, 2)
-        assert legacy == estimate_equality(hist, 2)
-
-    def test_in_selection_warns_and_matches(self, hist):
-        with pytest.warns(DeprecationWarning, match="estimate_membership"):
-            legacy = estimate_in_selection(hist, [1, 3, 3])
-        assert legacy == estimate_membership(hist, [1, 3, 3])
-
-    def test_not_equals_warns_and_matches(self, hist):
-        with pytest.warns(DeprecationWarning, match="estimate_not_equal"):
-            legacy = estimate_not_equals(hist, 1)
-        assert legacy == estimate_not_equal(hist, 1)
-
-    def test_range_selection_warns_and_maps_bounds(self, hist):
-        with pytest.warns(DeprecationWarning, match="estimate_range"):
-            legacy = estimate_range_selection(
-                hist, low=1, high=4, include_low=False, include_high=False
-            )
-        options = EstimateOptions(include_low=False, include_high=False)
-        assert legacy == estimate_range(hist, 1, 4, options=options)
-
-    def test_join_size_warns_and_matches(self, hist):
-        other = value_aware_hist([1, 2, 3], [3.0, 2.0, 1.0], 3)
-        with pytest.warns(DeprecationWarning, match="estimate_join"):
-            legacy = estimate_join_size(hist, other)
-        assert legacy == estimate_join(hist, other)
-
-    def test_chain_shims_flip_argument_order(self, rng):
-        sets = [zipf_frequencies(100, 5, 1.0), zipf_frequencies(100, 5, 2.0)]
-        matrices = [
-            arrange_frequency_set(sets[0], (1, 5), rng),
-            arrange_frequency_set(sets[1], (5, 1), rng),
-        ]
-        histograms = [Histogram.single_bucket(s) for s in sets]
-        with pytest.warns(DeprecationWarning, match="estimate_chain"):
-            legacy = estimate_chain_size(matrices, histograms)
-        assert legacy == estimate_chain(histograms, matrices)
-        with pytest.warns(DeprecationWarning, match="approximate_chain"):
-            legacy_matrices = approximate_chain_matrices(matrices, histograms)
-        fresh = approximate_chain(histograms, matrices)
-        for a, b in zip(legacy_matrices, fresh):
-            np.testing.assert_array_equal(a, b)

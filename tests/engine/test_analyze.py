@@ -8,6 +8,8 @@ from repro.data.zipf import zipf_frequencies
 from repro.engine.analyze import ANALYZE_KINDS, analyze_database, analyze_relation
 from repro.engine.catalog import StatsCatalog
 from repro.engine.relation import Relation
+from repro.obs import runtime
+from repro.obs.tracing import add_span_sink, clear_span_sinks
 
 
 @pytest.fixture
@@ -79,6 +81,40 @@ class TestAnalyzeRelation:
         analyze_relation(zipf_relation, "a", catalog)
         entry = analyze_relation(zipf_relation, "a", catalog)
         assert entry.version == 2
+
+
+class TestAnalyzeSpanAndScans:
+    @pytest.fixture(autouse=True)
+    def fresh_obs(self):
+        runtime.reset()
+        clear_span_sinks()
+        yield
+        runtime.reset()
+        clear_span_sinks()
+
+    @pytest.mark.parametrize("kind", ["end-biased", "sampled"])
+    def test_emits_one_span_tagged_with_kind_and_buckets(self, zipf_relation, kind):
+        records = []
+        add_span_sink(records.append)
+        analyze_relation(zipf_relation, "a", StatsCatalog(), kind=kind, buckets=5)
+        spans = [record for record in records if record.name == "engine.analyze"]
+        assert len(spans) == 1
+        assert dict(spans[0].tags) == {"kind": kind, "buckets": "5"}
+
+    @pytest.mark.parametrize("kind", ANALYZE_KINDS)
+    def test_distinct_count_needs_at_most_one_scan(self, zipf_relation, kind, monkeypatch):
+        scans = []
+        scan = Relation.distinct_count
+
+        def counted(relation, attribute):
+            scans.append(attribute)
+            return scan(relation, attribute)
+
+        monkeypatch.setattr(Relation, "distinct_count", counted)
+        entry = analyze_relation(zipf_relation, "a", StatsCatalog(), kind=kind, buckets=5)
+        assert entry.distinct_count == 40
+        # The exact kinds read it off the Matrix step's distribution.
+        assert len(scans) == (1 if kind == "sampled" else 0)
 
 
 class TestAnalyzeDatabase:

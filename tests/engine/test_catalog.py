@@ -38,12 +38,6 @@ class TestCompactEndBiased:
         assert compact.estimate_frequency("never-seen") == pytest.approx(3.5)
         assert compact.estimate_frequency("never-seen", assume_in_domain=False) == 0.0
 
-    def test_estimate_shim_warns_and_forwards(self, skewed_histogram):
-        compact = CompactEndBiased.from_histogram(skewed_histogram)
-        with pytest.warns(DeprecationWarning, match="estimate_frequency"):
-            legacy = compact.estimate("a")
-        assert legacy == compact.estimate_frequency("a")
-
     def test_requires_values(self):
         hist = v_opt_bias_hist([5.0, 1.0], 2)
         with pytest.raises(ValueError, match="value-aware"):
