@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from repro.core import (
     AttributeDistribution,
-    EstimateOptions,
     FrequencyMatrix,
     FrequencySet,
     Histogram,
@@ -53,7 +52,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "AttributeDistribution",
-    "EstimateOptions",
     "FrequencyMatrix",
     "FrequencySet",
     "Histogram",

@@ -10,18 +10,16 @@ layer, so downstream code can write::
     mass = api.estimate_range(hist, 5, 50)
 
 or import the names directly (``from repro.api import EstimationService``).
-Anything importable here follows the project's deprecation policy: removed
-spellings keep a shim for one minor release, announced via
-``DeprecationWarning`` and a note in ``docs/API.md``.
-Internal modules (``repro.core.*``, ``repro.serve.tables``, ...) remain
-importable but offer no such promise.
+A name leaves this surface only with a note in ``docs/API.md`` ("Removed
+names") saying what replaces it.  Internal modules (``repro.core.*``,
+``repro.serve.tables``, ...) remain importable but offer no such promise.
 
 Layers
 ------
 * **frequency data** — Zipf generators and distributions (Section 2);
 * **histograms** — the taxonomy and construction algorithms (Sections 3-4);
 * **estimation** — scalar result-size estimators over value-aware
-  histograms (Sections 2.2, 5.2, 6), sharing :class:`EstimateOptions`;
+  histograms (Sections 2.2, 5.2, 6);
 * **engine** — relations, ANALYZE, and the statistics catalog;
 * **serving** — compiled lookup tables and batched estimation
   (:class:`EstimationService`), the layer every estimator answers through;
@@ -54,7 +52,6 @@ from repro.core.serial import (
 
 # Estimation ----------------------------------------------------------------
 from repro.core.estimator import (
-    EstimateOptions,
     approximate_chain,
     estimate_chain,
     estimate_equality,
@@ -124,7 +121,6 @@ __all__ = [
     "v_opt_hist_exhaustive",
     "v_optimal_serial_histogram",
     # estimation
-    "EstimateOptions",
     "approximate_chain",
     "estimate_chain",
     "estimate_equality",

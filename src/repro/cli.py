@@ -612,11 +612,12 @@ def _cmd_stats_repair(args) -> int:
 def _run_agent_command(body) -> int:
     """Run one ``repro agent`` handler body under the shared exit-code map."""
     from repro.engine.eventlog import LogFormatError
+    from repro.engine.journal import JournalReplayError
     from repro.engine.persist import CatalogFormatError
 
     try:
         return body()
-    except (LogFormatError, CatalogFormatError) as exc:
+    except (LogFormatError, CatalogFormatError, JournalReplayError) as exc:
         print(f"repro agent: corruption: {exc}", file=sys.stderr)
         return EXIT_CORRUPTION
     except OSError as exc:

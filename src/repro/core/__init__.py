@@ -86,7 +86,6 @@ from repro.core.multidim import (
     independence_matrix,
 )
 from repro.core.estimator import (
-    EstimateOptions,
     approximate_chain,
     estimate_chain,
     estimate_equality,
@@ -146,7 +145,6 @@ __all__ = [
     "joint_table_result_size",
     "matrix_algorithm",
     "matrix_algorithm_2d",
-    "EstimateOptions",
     "approximate_chain",
     "estimate_chain",
     "estimate_equality",

@@ -13,20 +13,19 @@ Section 6 observes that ``≠`` and range selections reduce to (complements
 of) disjunctive equality selections, so all of them estimate by summing
 approximate per-value frequencies.
 
-The canonical surface is histogram-first with keyword-only options:
+The canonical surface is histogram-first:
 
 ``estimate_equality``, ``estimate_membership``, ``estimate_not_equal``,
-``estimate_range``, ``estimate_join``, ``estimate_self_join``,
-``estimate_chain``, ``approximate_chain``, and ``relative_error``, sharing
-:class:`EstimateOptions`.  Every function answers from the histogram's
-compiled lookup table (:mod:`repro.serve.tables`), compiled once per
-histogram, so repeated calls — and the batched service layer — return
-bit-identical floats.
+``estimate_range`` (with keyword-only bound inclusivity), ``estimate_join``,
+``estimate_self_join``, ``estimate_chain``, ``approximate_chain``, and
+``relative_error``.  Every function answers from the histogram's compiled
+lookup table (:mod:`repro.serve.tables`), compiled once per histogram, so
+repeated calls — and the batched service layer — return bit-identical
+floats.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Hashable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -38,28 +37,6 @@ from repro.util.validation import ensure_non_negative
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.serve.tables import CompiledHistogram
-
-
-@dataclass(frozen=True)
-class EstimateOptions:
-    """Options shared by the estimation functions.
-
-    ``include_low`` / ``include_high`` control range-bound inclusivity
-    (:func:`estimate_range`); ``rounded`` requests integer-rounded bucket
-    averages for arrangement-based chain estimation (:func:`estimate_chain`,
-    :func:`approximate_chain`); ``assume_in_domain`` is the catalog
-    "missing bucket" policy applied by compact lookups in the serving
-    layer.  Fields irrelevant to a given function are ignored by it.
-    """
-
-    include_low: bool = True
-    include_high: bool = True
-    rounded: bool = False
-    assume_in_domain: bool = True
-
-
-#: The all-defaults options value the functions fall back to.
-DEFAULT_ESTIMATE_OPTIONS = EstimateOptions()
 
 
 def _compiled(histogram: Histogram) -> "CompiledHistogram":
@@ -83,8 +60,6 @@ def _value_approximations(histogram: Histogram) -> dict[Hashable, float]:
 def estimate_equality(
     histogram: Histogram,
     value: Hashable,
-    *,
-    options: Optional[EstimateOptions] = None,
 ) -> float:
     """Estimate ``|σ_{a=value}(R)|``: the value's approximate frequency."""
     return _compiled(histogram).equality(value)
@@ -94,8 +69,6 @@ def estimate_equality(
 def estimate_membership(
     histogram: Histogram,
     values: Iterable[Hashable],
-    *,
-    options: Optional[EstimateOptions] = None,
 ) -> float:
     """Estimate a disjunctive selection ``a ∈ {c1..ck}`` (Section 2.2).
 
@@ -113,8 +86,6 @@ def estimate_membership(
 def estimate_not_equal(
     histogram: Histogram,
     value: Hashable,
-    *,
-    options: Optional[EstimateOptions] = None,
 ) -> float:
     """Estimate ``a ≠ value`` as the complement of the equality selection.
 
@@ -130,18 +101,19 @@ def estimate_range(
     low: Optional[Hashable] = None,
     high: Optional[Hashable] = None,
     *,
-    options: Optional[EstimateOptions] = None,
+    include_low: bool = True,
+    include_high: bool = True,
 ) -> float:
     """Estimate a range selection by summing approximate frequencies in range.
 
     Section 6 treats range selections as disjunctive equality selections over
     the values in the range; the estimate is the sum of their bucket
     averages — served as a prefix-sum difference over the sorted domain.
-    ``None`` bounds are open-ended; bound inclusivity comes from *options*.
+    ``None`` bounds are open-ended; both bounds are inclusive unless
+    *include_low* / *include_high* say otherwise.
     """
-    opts = options or DEFAULT_ESTIMATE_OPTIONS
     return _compiled(histogram).range_sum(
-        low, high, include_low=opts.include_low, include_high=opts.include_high
+        low, high, include_low=include_low, include_high=include_high
     )
 
 
@@ -149,8 +121,6 @@ def estimate_range(
 def estimate_join(
     left: Histogram,
     right: Histogram,
-    *,
-    options: Optional[EstimateOptions] = None,
 ) -> float:
     """Estimate a two-way equality join from two value-aware histograms.
 
@@ -169,8 +139,6 @@ def estimate_self_join(histogram: Histogram) -> float:
 def approximate_chain(
     histograms: Sequence[Histogram],
     matrices: Sequence[MatrixLike],
-    *,
-    options: Optional[EstimateOptions] = None,
 ) -> list[np.ndarray]:
     """Apply per-relation histograms to concrete frequency-matrix arrangements.
 
@@ -182,7 +150,6 @@ def approximate_chain(
         raise ValueError(
             f"got {len(matrices)} matrices but {len(histograms)} histograms"
         )
-    opts = options or DEFAULT_ESTIMATE_OPTIONS
     approximated = []
     for matrix, histogram in zip(matrices, histograms):
         arr = (
@@ -190,7 +157,7 @@ def approximate_chain(
             if isinstance(matrix, FrequencyMatrix)
             else np.asarray(matrix, dtype=float)
         )
-        approximated.append(histogram.approximate_array(arr, rounded=opts.rounded))
+        approximated.append(histogram.approximate_array(arr))
     return approximated
 
 
@@ -198,11 +165,9 @@ def approximate_chain(
 def estimate_chain(
     histograms: Sequence[Histogram],
     matrices: Sequence[MatrixLike],
-    *,
-    options: Optional[EstimateOptions] = None,
 ) -> float:
     """Approximate chain-query result size: product of histogram matrices."""
-    return chain_result_size(approximate_chain(histograms, matrices, options=options))
+    return chain_result_size(approximate_chain(histograms, matrices))
 
 
 def relative_error(exact: float, estimate: float) -> float:

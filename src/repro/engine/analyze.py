@@ -1,7 +1,7 @@
 """ANALYZE: statistics collection into the catalog.
 
 Runs the ``Matrix`` algorithm over a relation's column (one counting
-scan) and builds the requested histogram, storing it — and, for biased
+scan) and builds the requested histogram, storing it — and, for end-biased
 histograms, its compact catalog form — in the :class:`StatsCatalog`.
 This is the operational face of Section 4: per-relation, query-independent
 statistics, justified by Theorem 3.3.
@@ -83,7 +83,10 @@ def analyze_relation(
             distribution = relation.frequency_distribution(attribute)
             histogram = _build_histogram(kind, distribution, buckets)
             distinct_count = distribution.domain_size
-            if histogram.is_biased():
+            # The compact form's "missing bucket" rule answers a value
+            # outside the domain with the remainder average: an end-biased
+            # convention, so no other kind stores one.
+            if kind == "end-biased":
                 compact = CompactEndBiased.from_histogram(histogram)
         entry = CatalogEntry(
             relation=relation.name,

@@ -82,20 +82,18 @@ class CompactEndBiased:
         """Total tuple count represented by the stored statistics."""
         return sum(self.explicit.values()) + self.remainder_count * self.remainder_average
 
-    def estimate_frequency(
-        self, value: Hashable, *, assume_in_domain: bool = True
-    ) -> float:
+    def estimate_frequency(self, value: Hashable) -> float:
         """Approximate frequency of *value* — the one documented lookup.
 
-        Explicitly stored values return their exact frequency.  Unknown
-        values return the remainder average when *assume_in_domain* (the
-        catalog's "missing bucket" rule), else 0.  This is the same method
-        name :class:`CatalogEntry` exposes, so callers holding either form
-        use one spelling.
+        Explicitly stored values return their exact frequency.  Any other
+        value returns the remainder average (the catalog's "missing
+        bucket" rule), or 0 when there is no remainder.  This is the same
+        method name :class:`CatalogEntry` exposes, so callers holding
+        either form use one spelling.
         """
         if value in self.explicit:
             return self.explicit[value]
-        if assume_in_domain and self.remainder_count > 0:
+        if self.remainder_count > 0:
             return self.remainder_average
         return 0.0
 

@@ -7,8 +7,7 @@ the durability mechanics instead of re-deriving them:
 
 * **fsync-before-acknowledge appends** — :meth:`ChecksummedLog.append`
   returns only after the encoded record is flushed and fsynced, so an
-  acknowledged event is never lost to a crash (``fsync=False`` is the
-  explicit, documented weakening for throughput);
+  acknowledged event is never lost to a crash;
 * **per-record CRC32 checksums** over the canonical JSON encoding, so a
   torn tail (half-written last record after power loss) is *detected*
   rather than parsed as garbage;
@@ -216,9 +215,8 @@ def scan_log(
 class ChecksummedLog:
     """The shared append-only durable log (see the module docstring).
 
-    ``fsync=True`` (default) makes every append durable before it is
-    acknowledged — the WAL contract.  ``fsync=False`` trades the last few
-    events on power loss for throughput (the file stays torn-tail safe).
+    Every append is fsynced before it is acknowledged — the WAL contract;
+    *fsync_span*, when given, names the span that times each fsync.
 
     Fault-injection plumbing: callers name the registered injection
     points to fire around each write (*fault_append* before the bytes are
@@ -231,14 +229,12 @@ class ChecksummedLog:
         self,
         path: PathLike,
         *,
-        fsync: bool = True,
         validate: Optional[PayloadValidator] = None,
         fsync_span: Optional[str] = None,
     ):
         if not isinstance(path, (str, Path)):
             raise TypeError(f"path must be str or Path, got {type(path).__name__}")
         self._path = Path(path)
-        self._fsync = bool(fsync)
         self._validate = validate
         self._fsync_span = fsync_span
         scan = scan_log(self._path, strict=False, validate=validate)
@@ -314,14 +310,13 @@ class ChecksummedLog:
             handle.write(data)
             if fault_flush is not None:
                 fault_point(fault_flush, path=str(self._path))
-            if self._fsync:
-                if self._fsync_span is not None:
-                    with span(self._fsync_span):
-                        handle.flush()
-                        os.fsync(handle.fileno())
-                else:
+            if self._fsync_span is not None:
+                with span(self._fsync_span):
                     handle.flush()
                     os.fsync(handle.fileno())
+            else:
+                handle.flush()
+                os.fsync(handle.fileno())
         self._seq = stamped["seq"]  # acknowledged only after the durable append
         return stamped
 

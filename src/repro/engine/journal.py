@@ -255,18 +255,13 @@ def replay_records(
 class MaintenanceJournal:
     """The append-only delta log one or more maintained histograms share.
 
-    ``fsync=True`` (default) makes every append durable before it is
-    acknowledged — the WAL contract.  ``fsync=False`` trades the last few
-    deltas on power loss for throughput (an explicit, documented weakening;
-    the file is still torn-tail safe).
+    Every append is fsynced before it is acknowledged — the WAL contract
+    (each fsync is timed by a ``journal.fsync`` span).
     """
 
-    def __init__(self, path: PathLike, *, fsync: bool = True):
+    def __init__(self, path: PathLike):
         self._log = ChecksummedLog(
-            path,
-            fsync=fsync,
-            validate=_validate_payload,
-            fsync_span="journal.fsync",
+            path, validate=_validate_payload, fsync_span="journal.fsync"
         )
 
     @property

@@ -10,7 +10,7 @@ of entries, each wrapped as ``{"checksum": crc32, "payload": {...}}``.
 The checksum is CRC32 over the payload's canonical JSON encoding
 (:func:`repro.engine.durable.canonical_json`), so a torn or hand-mangled
 entry is detected at load time instead of silently poisoning estimates.
-Version-1 files (the pre-checksum format) still load.
+Any other version, the pre-checksum version 1 included, is rejected.
 
 **Atomicity** — :func:`save_catalog` writes through
 :func:`repro.engine.durable.atomic_write_text` (temp file + fsync +
@@ -62,7 +62,6 @@ from repro.testing.faults import POINT_PERSIST_SERIALIZE, fault_point
 #: Format header values.
 FORMAT_NAME = "repro-stats-catalog"
 FORMAT_VERSION = 2
-SUPPORTED_VERSIONS = (1, 2)
 
 #: Histogram kinds the format round-trips; a hand-edited file naming any
 #: other kind raises :class:`CatalogFormatError` instead of a deep error.
@@ -282,6 +281,7 @@ def _entry_from_payload(payload: object) -> CatalogEntry:
         "distinct_count",
         "total_tuples",
         "version",
+        "journal_seq",
         "histogram",
         "compact",
     ):
@@ -311,8 +311,9 @@ def _entry_from_payload(payload: object) -> CatalogEntry:
     )
     if version < 0:
         raise _format_error(context, f"version must be >= 0, got {version}")
-    journal_seq = payload.get("journal_seq", 0)
-    _require_type(journal_seq, int, context, "journal_seq must be an integer")
+    journal_seq = _require_type(
+        payload["journal_seq"], int, context, "journal_seq must be an integer"
+    )
     if journal_seq < 0:
         raise _format_error(context, f"journal_seq must be >= 0, got {journal_seq}")
     try:
@@ -339,10 +340,8 @@ def _entry_from_payload(payload: object) -> CatalogEntry:
     )
 
 
-def _load_entry_item(item: object, format_version: int) -> CatalogEntry:
+def _load_entry_item(item: object) -> CatalogEntry:
     """Decode one entry of the ``entries`` list, verifying its checksum."""
-    if format_version == 1:
-        return _entry_from_payload(item)
     _require_type(item, dict, "catalog entry", "entry must be a checksummed object")
     if "payload" not in item or "checksum" not in item:
         raise _format_error(
@@ -372,9 +371,7 @@ def _entry_label(item: object) -> str:
 
 def _entry_key_hint(item: object) -> tuple[Optional[str], Optional[str]]:
     """Best-effort (relation, attribute) of a possibly-corrupt entry item."""
-    payload = item
-    if isinstance(item, dict) and isinstance(item.get("payload"), dict):
-        payload = item["payload"]
+    payload = item.get("payload") if isinstance(item, dict) else None
     if isinstance(payload, dict):
         relation = payload.get("relation")
         attribute = payload.get("attribute")
@@ -399,8 +396,8 @@ def catalog_to_dict(catalog: StatsCatalog) -> dict:
     return {"format": FORMAT_NAME, "version": FORMAT_VERSION, "entries": entries}
 
 
-def _check_header(data: object) -> int:
-    """Validate the format header; returns the file's format version."""
+def _check_header(data: object) -> None:
+    """Validate the format header (name and version)."""
     if not isinstance(data, dict):
         raise CatalogFormatError(
             f"catalog document must be a JSON object, got {type(data).__name__}"
@@ -410,26 +407,25 @@ def _check_header(data: object) -> int:
             f"not a repro stats catalog (format={data.get('format')!r})"
         )
     version = data.get("version")
-    if version not in SUPPORTED_VERSIONS:
+    if version != FORMAT_VERSION:
         raise CatalogFormatError(f"unsupported catalog version {version!r}")
-    return version
 
 
 def catalog_from_dict(data: dict) -> StatsCatalog:
     """Rebuild a catalog from :func:`catalog_to_dict` output (strict).
 
-    Accepts format versions 1 (legacy, no checksums) and 2.  Any malformed
-    or checksum-failing entry raises :class:`CatalogFormatError`; use
+    Accepts format version 2 only.  Any malformed or checksum-failing
+    entry raises :class:`CatalogFormatError`; use
     ``load_catalog(path, recover=True)`` for quarantine-instead-of-fail
     semantics.
     """
-    version = _check_header(data)
+    _check_header(data)
     entries = data.get("entries")
     if not isinstance(entries, list):
         raise CatalogFormatError("catalog 'entries' must be a list")
     catalog = StatsCatalog()
     for item in entries:
-        entry = _load_entry_item(item, version)
+        entry = _load_entry_item(item)
         stored_version = entry.version
         catalog.put(entry)
         entry.version = stored_version  # preserve the original counter
@@ -584,9 +580,12 @@ def load_catalog(
 ) -> Union[StatsCatalog, RecoveryReport]:
     """Read a catalog previously written by :func:`save_catalog`.
 
-    Strict mode (default) returns the :class:`StatsCatalog` and raises
-    :class:`CatalogFormatError` on any corruption — a failed entry
-    checksum, a malformed payload, a torn journal, an impossible delta.
+    Strict mode (default) returns the :class:`StatsCatalog` and raises on
+    the first problem: :class:`CatalogFormatError` for a snapshot that
+    fails (a bad header, a failed entry checksum, a malformed payload),
+    :class:`~repro.engine.journal.JournalFormatError` for a torn or
+    malformed journal, and :class:`~repro.engine.journal.JournalReplayError`
+    for a delta that is impossible against its entry.
 
     ``recover=True`` returns a :class:`RecoveryReport` instead: corrupt
     entries are **quarantined** (the rest of the catalog loads), a torn
@@ -619,7 +618,7 @@ def load_catalog(
         else:
             try:
                 data = _parse_snapshot_text(path.read_text())
-                version = _check_header(data)
+                _check_header(data)
                 entries = data.get("entries")
                 if not isinstance(entries, list):
                     raise CatalogFormatError("catalog 'entries' must be a list")
@@ -629,10 +628,9 @@ def load_catalog(
                     QuarantinedEntry(relation=None, attribute=None, reason=str(exc))
                 )
                 entries = []
-                version = FORMAT_VERSION
             for item in entries:
                 try:
-                    entry = _load_entry_item(item, version)
+                    entry = _load_entry_item(item)
                 except CatalogFormatError as exc:
                     relation, attribute = _entry_key_hint(item)
                     report.quarantined.append(

@@ -283,7 +283,7 @@ class DurableJobQueue:
         self._jobs: dict[str, JobState] = {}
         #: live dedupe index: dedupe_key -> job id (pending/claimed only).
         self._dedupe: dict[str, str] = {}
-        self._log = ChecksummedLog(path, fsync=True, validate=_validate_event)
+        self._log = ChecksummedLog(path, validate=_validate_event)
         with self._lock:
             anomalies = 0
             for payload in self._log.payloads():

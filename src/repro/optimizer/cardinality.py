@@ -35,38 +35,17 @@ __all__ = [
 class CardinalityEstimator:
     """Estimates operator output cardinalities from catalog statistics.
 
-    Parameters
-    ----------
-    catalog:
-        The statistics catalog to estimate from.
-    service:
-        Optional pre-built :class:`~repro.serve.EstimationService` over the
-        same catalog (e.g. a long-lived shared instance); by default a
-        private service is created.
-    on_error:
-        Optional error policy (``"fallback" | "nan" | "raise"``) forwarded
-        to every estimate call; ``None`` (default) defers to the service's
-        own policy.
+    Each estimator answers through its own private
+    :class:`~repro.serve.EstimationService` over *catalog*, under the
+    service's default ``"fallback"`` error policy.
     """
 
-    def __init__(
-        self,
-        catalog: StatsCatalog,
-        *,
-        service: Optional[EstimationService] = None,
-        on_error: Optional[str] = None,
-    ):
+    def __init__(self, catalog: StatsCatalog):
         if not isinstance(catalog, StatsCatalog):
             raise TypeError(
                 f"catalog must be a StatsCatalog, got {type(catalog).__name__}"
             )
-        if service is not None and service.catalog is not catalog:
-            raise ValueError(
-                "service must be built over the same catalog it estimates from"
-            )
-        self._catalog = catalog
-        self._service = service if service is not None else EstimationService(catalog)
-        self._on_error = on_error
+        self._service = EstimationService(catalog)
 
     @property
     def service(self) -> EstimationService:
@@ -89,9 +68,7 @@ class CardinalityEstimator:
 
     def equality_selection(self, relation: str, attribute: str, value: Hashable) -> float:
         """Estimated cardinality of ``σ_{attribute = value}(relation)``."""
-        return self._service.estimate_equality(
-            relation, attribute, value, on_error=self._on_error
-        )
+        return self._service.estimate_equality(relation, attribute, value)
 
     def range_selection(
         self,
@@ -106,9 +83,7 @@ class CardinalityEstimator:
         equality selections); falls back to a 1/3 selectivity guess without
         one, mirroring System R defaults.
         """
-        return self._service.estimate_range(
-            relation, attribute, low, high, on_error=self._on_error
-        )
+        return self._service.estimate_range(relation, attribute, low, high)
 
     # ------------------------------------------------------------------
     # Join estimates
@@ -123,11 +98,7 @@ class CardinalityEstimator:
     ) -> float:
         """Estimated equality-join cardinality between two base relations."""
         return self._service.estimate_join(
-            left_relation,
-            left_attribute,
-            right_relation,
-            right_attribute,
-            on_error=self._on_error,
+            left_relation, left_attribute, right_relation, right_attribute
         )
 
     def join_from_entries(self, left: CatalogEntry, right: CatalogEntry) -> float:

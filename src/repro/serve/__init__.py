@@ -14,7 +14,7 @@ and batched results are bit-identical to the scalar paths.
 from __future__ import annotations
 
 from repro.serve.frame import ProbeColumns, ProbeFrame
-from repro.serve.metrics import LATENCY_BUCKET_BOUNDS, PROBE_KINDS, ServiceMetrics
+from repro.serve.metrics import PROBE_KINDS, ServiceMetrics
 from repro.serve.service import (
     DEFAULT_EQ_SELECTIVITY,
     DEFAULT_MAX_TABLES,
@@ -45,7 +45,6 @@ __all__ = [
     "DEFAULT_EQ_SELECTIVITY",
     "DEFAULT_MAX_TABLES",
     "DEFAULT_RANGE_SELECTIVITY",
-    "LATENCY_BUCKET_BOUNDS",
     "ON_ERROR_POLICIES",
     "PROBE_KINDS",
     "REASON_BACKPRESSURE",

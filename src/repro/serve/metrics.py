@@ -1,13 +1,12 @@
 """Thread-safe, degradation-aware counters for the estimation service.
 
 A serving layer is only trustworthy when it can report what it did: how
-often compiled tables were reused versus rebuilt, how much time compilation
-cost, how many probes of each shape were answered — and, crucially, how
-many of those answers were **degraded**: served from a documented fallback
-because the statistics needed to answer them properly did not exist, or
-resolved through the service's ``on_error`` policy because the probe could
-not be answered at all (unknown relation, unorderable domain, unhashable
-value).
+often compiled tables were reused versus rebuilt, how many probes of each
+shape were answered — and, crucially, how many of those answers were
+**degraded**: served from a documented fallback because the statistics
+needed to answer them properly did not exist, or resolved through the
+service's ``on_error`` policy because the probe could not be answered at
+all (unknown relation, unorderable domain, unhashable value).
 
 All counters are guarded by one lock so concurrent service threads never
 lose updates; reads of individual fields are plain attribute access (ints
@@ -17,17 +16,18 @@ service calls each ``record_*`` method once per (kind, group) with a
 ``count``, never once per probe, so the lock is taken O(groups) times per
 batch while the counter values stay probe-granular.  Surfaced by
 ``repro serve-stats`` and :mod:`benchmarks.bench_serve_batch`.
+
+These are counts only.  Batch and table-compile *time* is recorded on one
+path, the ``serve.batch`` and ``serve.table.compile`` span histograms of
+:mod:`repro.obs.tracing` (``repro_span_duration_seconds{span=...}``).
 """
 
 from __future__ import annotations
 
+import copy
 import threading
 
 from repro.obs.registry import Sample
-
-#: Upper edges (seconds, inclusive) of the batch-latency histogram buckets;
-#: one final unbounded bucket catches everything slower.
-LATENCY_BUCKET_BOUNDS: tuple[float, ...] = (1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0)
 
 #: The probe shapes the service distinguishes in its per-type counters.
 PROBE_KINDS: tuple[str, ...] = (
@@ -42,13 +42,6 @@ PROBE_KINDS: tuple[str, ...] = (
 #: Probe kind → counter attribute, precomputed so the per-batch hot path
 #: does one dict probe instead of building two f-strings per call.
 _PROBE_KIND_ATTRS: dict[str, str] = {kind: f"{kind}_probes" for kind in PROBE_KINDS}
-
-
-def latency_bucket_labels() -> tuple[str, ...]:
-    """Human-readable labels for the latency histogram buckets."""
-    labels = [f"<={bound:g}s" for bound in LATENCY_BUCKET_BOUNDS]
-    labels.append(f">{LATENCY_BUCKET_BOUNDS[-1]:g}s")
-    return tuple(labels)
 
 
 class ServiceMetrics:
@@ -71,8 +64,6 @@ class ServiceMetrics:
         self.table_misses = 0
         #: Compiled tables discarded by the LRU bound.
         self.tables_evicted = 0
-        #: Wall-clock seconds spent compiling lookup tables.
-        self.compile_seconds = 0.0
         #: Individual probes answered (batch members count individually).
         self.probes_served = 0
         #: ``estimate_batch`` invocations that returned a result vector.
@@ -123,9 +114,6 @@ class ServiceMetrics:
         #: unchanged).
         self.join_products_computed = 0
         self.join_products_reused = 0
-        #: Batch-latency histogram aligned with ``LATENCY_BUCKET_BOUNDS``
-        #: plus one unbounded tail bucket.
-        self.latency_counts: list[int] = [0] * (len(LATENCY_BUCKET_BOUNDS) + 1)
 
     # ------------------------------------------------------------------
     # Recording (all thread-safe)
@@ -145,11 +133,6 @@ class ServiceMetrics:
         """Count *count* compiled tables discarded by the LRU bound."""
         with self._lock:
             self.tables_evicted += count
-
-    def record_compile(self, seconds: float) -> None:
-        """Accumulate wall-clock table-compilation time."""
-        with self._lock:
-            self.compile_seconds += seconds
 
     def record_probes(self, kind: str, count: int) -> None:
         """Count *count* answered probes of *kind* (see ``PROBE_KINDS``)."""
@@ -219,16 +202,6 @@ class ServiceMetrics:
             else:
                 self.batches_served += 1
 
-    def record_latency(self, seconds: float) -> None:
-        """Place one batch latency into the histogram."""
-        index = len(LATENCY_BUCKET_BOUNDS)
-        for position, bound in enumerate(LATENCY_BUCKET_BOUNDS):
-            if seconds <= bound:
-                index = position
-                break
-        with self._lock:
-            self.latency_counts[index] += 1
-
     # ------------------------------------------------------------------
     # Reading
     # ------------------------------------------------------------------
@@ -236,26 +209,18 @@ class ServiceMetrics:
     def snapshot(self) -> "ServiceMetrics":
         """An independent, consistent copy for before/after comparisons.
 
-        The copy is fully detached: it carries its own lock and owns
-        fresh container objects, so mutating a snapshot (or the live
-        instance afterwards) never bleeds across.  Fields are copied
+        The copy is fully detached: it carries its own lock and a shallow
+        copy of every field, so mutating a snapshot's containers (or the
+        live instance afterwards) never bleeds across.  Fields are copied
         generically from ``__dict__`` so a counter added later can never
         be silently missed.
         """
-        copy = ServiceMetrics()
+        frozen = ServiceMetrics()
         with self._lock:
             for name, value in self.__dict__.items():
-                if name == "_lock":
-                    continue
-                if isinstance(value, dict):
-                    setattr(copy, name, dict(value))
-                elif isinstance(value, list):
-                    setattr(copy, name, list(value))
-                elif isinstance(value, set):
-                    setattr(copy, name, set(value))
-                else:
-                    setattr(copy, name, value)
-        return copy
+                if name != "_lock":
+                    setattr(frozen, name, copy.copy(value))
+        return frozen
 
     def probe_type_total(self) -> int:
         """Sum of the per-shape counters; always equals ``probes_served``."""
@@ -275,12 +240,11 @@ class ServiceMetrics:
         return self.table_hits / lookups
 
     def as_dict(self) -> dict[str, float]:
-        """Counter values keyed by field name (reasons/latency flattened)."""
+        """Counter values keyed by field name (reason dicts flattened)."""
         out: dict[str, float] = {
             "table_hits": self.table_hits,
             "table_misses": self.table_misses,
             "tables_evicted": self.tables_evicted,
-            "compile_seconds": self.compile_seconds,
             "probes_served": self.probes_served,
             "batches_served": self.batches_served,
             "batches_failed": self.batches_failed,
@@ -305,8 +269,6 @@ class ServiceMetrics:
             out[f"degraded[{reason}]"] = count
         for reason, count in sorted(self.rejection_reasons.items()):
             out[f"rejected[{reason}]"] = count
-        for label, count in zip(latency_bucket_labels(), self.latency_counts):
-            out[f"latency[{label}]"] = count
         return out
 
     def collect(self, **labels: object) -> list[Sample]:
@@ -339,15 +301,6 @@ class ServiceMetrics:
             Sample(name=name, labels=label_items, value=float(value), kind="counter", help=help_text)
             for name, value, help_text in counters
         ]
-        samples.append(
-            Sample(
-                name="repro_serve_compile_seconds_total",
-                labels=label_items,
-                value=frozen.compile_seconds,
-                kind="counter",
-                help="wall-clock seconds spent compiling lookup tables",
-            )
-        )
         samples.append(
             Sample(
                 name="repro_serve_hit_rate",
@@ -400,19 +353,6 @@ class ServiceMetrics:
                     help="admission-rejected probes by reason",
                 )
             )
-        cumulative = 0
-        bucket_edges = [f"{bound!r}" for bound in LATENCY_BUCKET_BOUNDS] + ["+Inf"]
-        for edge, count in zip(bucket_edges, frozen.latency_counts):
-            cumulative += count
-            samples.append(
-                Sample(
-                    name="repro_serve_batch_latency_bucket",
-                    labels=label_items + (("le", edge),),
-                    value=float(cumulative),
-                    kind="counter",
-                    help="batch latencies at or under the bucket bound (seconds)",
-                )
-            )
         return samples
 
     def format(self) -> str:
@@ -421,7 +361,6 @@ class ServiceMetrics:
             f"compiled-table cache: {self.table_hits} hits, "
             f"{self.table_misses} misses ({self.hit_rate():.1%} hit rate), "
             f"{self.tables_evicted} evicted",
-            f"compile time: {self.compile_seconds * 1e3:.3f} ms",
             f"probes served: {self.probes_served} "
             f"in {self.batches_served} batches"
             + (f" ({self.batches_failed} failed)" if self.batches_failed else ""),
@@ -463,11 +402,4 @@ class ServiceMetrics:
             lines.append(
                 f"trace hooks: {self.trace_hook_errors} raised and were swallowed"
             )
-        if any(self.latency_counts):
-            histogram = ", ".join(
-                f"{label}: {count}"
-                for label, count in zip(latency_bucket_labels(), self.latency_counts)
-                if count
-            )
-            lines.append(f"batch latency: {histogram}")
         return "\n".join(lines)

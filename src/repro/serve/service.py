@@ -85,7 +85,6 @@ import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from time import perf_counter
 from typing import Callable, Hashable, Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -352,7 +351,6 @@ class EstimationService:
         *,
         max_tables: int = DEFAULT_MAX_TABLES,
         on_error: str = "fallback",
-        recovery: Optional[RecoveryReport] = None,
         name: Optional[str] = None,
     ):
         if not isinstance(catalog, StatsCatalog):
@@ -389,8 +387,6 @@ class EstimationService:
             lambda metrics: metrics.collect(service=service_label),
             owner=self.metrics,
         )
-        if recovery is not None:
-            self.apply_recovery(recovery)
 
     # ------------------------------------------------------------------
     # Compiled-table cache
@@ -541,7 +537,6 @@ class EstimationService:
                 self._slots.move_to_end(key)
                 return slot
             self.metrics.record_table_miss()
-            started = perf_counter()
             try:
                 with span(
                     "serve.table.compile",
@@ -557,7 +552,6 @@ class EstimationService:
                     f"failed to compile serving tables for "
                     f"{entry.relation}.{entry.attribute}: {exc}"
                 ) from exc
-            self.metrics.record_compile(perf_counter() - started)
             self._slots[key] = slot
             self._slots.move_to_end(key)
             evicted = 0
@@ -1259,8 +1253,8 @@ class EstimationService:
         be re-answered (e.g. against refreshed statistics) at pure
         array-sweep cost.  A sequence is grouped inside the call, under a
         ``serve.frame.build`` child of the ``serve.batch`` span, so the
-        span, ``ServiceMetrics.latency_counts`` and ``batches_failed``
-        (an invalid probe raises ``TypeError``) cover the whole call.
+        span (the batch's one timing) and ``batches_failed`` (an invalid
+        probe raises ``TypeError``) cover the whole call.
 
         Fault-isolated: an unanswerable probe walks the degradation
         ladder of the module docstring and never aborts the batch under
@@ -1277,7 +1271,6 @@ class EstimationService:
         per-tenant quotas ride this hook.
         """
         policy = self._resolve_policy(on_error)
-        started = perf_counter()
         try:
             if not isinstance(probes, (ProbeFrame, list)):
                 probes = list(probes)
@@ -1291,7 +1284,6 @@ class EstimationService:
             self.metrics.record_batch(failed=True)
             raise
         self.metrics.record_batch()
-        self.metrics.record_latency(perf_counter() - started)
         return out
 
     def _verdicts(

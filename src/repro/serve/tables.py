@@ -679,7 +679,7 @@ class CompiledCompact:
         """True when *value* is explicitly stored."""
         return value in self._explicit
 
-    def frequency(self, value: Hashable, *, assume_in_domain: bool = True) -> float:
+    def frequency(self, value: Hashable) -> float:
         """Approximate frequency of one value (the "missing bucket" rule).
 
         NaN probes return 0.0 unconditionally: NaN is not a domain value,
@@ -694,19 +694,13 @@ class CompiledCompact:
             found = None
         if found is not None:
             return found
-        if assume_in_domain and self.remainder_count > 0:
+        if self.remainder_count > 0:
             return self.remainder_average
         return 0.0
 
-    def frequency_batch(
-        self, values: Sequence[Hashable], *, assume_in_domain: bool = True
-    ) -> np.ndarray:
+    def frequency_batch(self, values: Sequence[Hashable]) -> np.ndarray:
         """Approximate frequencies for many probe values in one pass."""
-        miss = (
-            self.remainder_average
-            if (assume_in_domain and self.remainder_count > 0)
-            else 0.0
-        )
+        miss = self.remainder_average if self.remainder_count > 0 else 0.0
         if self._numeric:
             arr = probe_code_array(values)
             if arr is not None:
@@ -724,15 +718,9 @@ class CompiledCompact:
                     suspect = hit & (np.abs(codes) >= _TWO53)
                     if suspect.any():
                         for index in np.nonzero(suspect)[0].tolist():
-                            out[index] = self.frequency(
-                                arr[index].item(),
-                                assume_in_domain=assume_in_domain,
-                            )
+                            out[index] = self.frequency(arr[index].item())
                 return out
-        return np.asarray(
-            [self.frequency(v, assume_in_domain=assume_in_domain) for v in values],
-            dtype=np.float64,
-        )
+        return np.asarray([self.frequency(v) for v in values], dtype=np.float64)
 
 
 def compile_histogram(histogram: "Histogram") -> CompiledHistogram:

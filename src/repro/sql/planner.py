@@ -26,7 +26,6 @@ from repro.optimizer.cardinality import (
     DEFAULT_RANGE_SELECTIVITY,
     CardinalityEstimator,
 )
-from repro.optimizer.cost import CostModel
 from repro.serve.frame import EqualityProbe, Probe, RangeProbe
 from repro.serve.service import EstimationService
 from repro.optimizer.joinorder import JoinEdge, JoinGraph, optimal_join_order
@@ -277,16 +276,13 @@ def plan_query(
     statement: SelectStatement,
     relations: dict[str, Relation],
     catalog: StatsCatalog,
-    *,
-    cost_model: Optional[CostModel] = None,
-    on_error: Optional[str] = None,
 ) -> PlannedQuery:
     """Plan *statement* against *relations* using *catalog* statistics.
 
-    ``on_error`` (``"fallback" | "nan" | "raise"``; ``None`` defers to the
-    estimation-service default) is forwarded to the cardinality estimator —
-    planning over a partially ANALYZEd catalog degrades per-probe instead
-    of aborting, per the serving layer's fault-isolation contract.
+    Estimates go through the estimation service's default ``"fallback"``
+    policy, so planning over a partially ANALYZEd catalog degrades
+    per-probe instead of aborting, per the serving layer's
+    fault-isolation contract.
     """
     bindings: dict[str, Relation] = {}
     base_names: dict[str, str] = {}
@@ -358,7 +354,7 @@ def plan_query(
             )
 
     rebound = _rebind_catalog(catalog, bindings, base_names)
-    estimator = CardinalityEstimator(rebound, on_error=on_error)
+    estimator = CardinalityEstimator(rebound)
     service = estimator.service
 
     # One pass classifies every selection predicate; the deferred
@@ -433,7 +429,7 @@ def plan_query(
                     edge.right_relation,
                     edge.right_attribute,
                 )
-            join_plan = optimal_join_order(graph, estimator, cost_model)
+            join_plan = optimal_join_order(graph, estimator)
         except KeyError as error:
             raise SqlPlanError(
                 f"missing statistics for join planning; run ANALYZE first ({error})"

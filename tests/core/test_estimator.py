@@ -5,7 +5,6 @@ import pytest
 
 from repro.core.biased import v_opt_bias_hist
 from repro.core.estimator import (
-    EstimateOptions,
     approximate_chain,
     estimate_chain,
     estimate_equality,
@@ -62,9 +61,8 @@ class TestSelectionEstimates:
 
     def test_range_exclusive_bounds(self):
         hist = value_aware_hist([1, 2, 3], [5.0, 3.0, 1.0], 3)
-        options = EstimateOptions(include_low=False, include_high=False)
         assert estimate_range(
-            hist, low=1, high=3, options=options
+            hist, low=1, high=3, include_low=False, include_high=False
         ) == pytest.approx(3.0)
 
     def test_range_open_ended(self):

@@ -10,6 +10,7 @@ from repro.engine.catalog import StatsCatalog
 from repro.engine.relation import Relation
 from repro.obs import runtime
 from repro.obs.tracing import add_span_sink, clear_span_sinks
+from repro.serve import EqualityProbe, EstimationService, ProbeFrame
 
 
 @pytest.fixture
@@ -45,6 +46,33 @@ class TestAnalyzeRelation:
     def test_equi_depth_has_no_compact_form(self, zipf_relation):
         catalog = StatsCatalog()
         entry = analyze_relation(zipf_relation, "a", catalog, kind="equi-depth", buckets=5)
+        assert entry.compact is None
+
+    @pytest.mark.parametrize("buckets", [2, 3, 4])
+    def test_serial_entry_answers_absent_value_with_zero(self, buckets):
+        # Frequencies 9, 8, 2, 1.  The compact form's missing-bucket rule
+        # is end-biased only: a serial entry stores none, so a value
+        # outside the domain answers 0 whatever the bucket layout.
+        column = [1] * 9 + [2] * 8 + [3] * 2 + [4]
+        catalog = StatsCatalog()
+        entry = analyze_relation(
+            Relation.from_columns("R", {"a": column}), "a", catalog,
+            kind="serial", buckets=buckets,
+        )
+        assert entry.compact is None
+        service = EstimationService(catalog)
+        probes = [EqualityProbe("R", "a", 99), EqualityProbe("R", "a", 1)]
+        assert service.estimate_equality("R", "a", 99) == 0.0
+        for batch in (probes, ProbeFrame.from_probes(probes)):
+            answers = service.estimate_batch(batch)
+            assert answers[0] == 0.0
+            assert answers[1] == service.estimate_equality("R", "a", 1)
+
+    @pytest.mark.parametrize("kind", ["trivial", "equi-width", "serial"])
+    def test_only_end_biased_stores_compact_form(self, zipf_relation, kind):
+        catalog = StatsCatalog()
+        entry = analyze_relation(zipf_relation, "a", catalog, kind=kind, buckets=1)
+        assert entry.histogram.is_biased()
         assert entry.compact is None
 
     def test_sampled_kind(self, zipf_relation):

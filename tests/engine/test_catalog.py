@@ -36,7 +36,6 @@ class TestCompactEndBiased:
         compact = CompactEndBiased.from_histogram(skewed_histogram)
         assert compact.estimate_frequency("c") == pytest.approx(3.5)
         assert compact.estimate_frequency("never-seen") == pytest.approx(3.5)
-        assert compact.estimate_frequency("never-seen", assume_in_domain=False) == 0.0
 
     def test_requires_values(self):
         hist = v_opt_bias_hist([5.0, 1.0], 2)

@@ -324,6 +324,48 @@ class TestCheckpoint:
         assert restored.require("R", "a").compact.explicit["x"] == 6.0
 
 
+class TestStrictLoadWithJournal:
+    """Strict ``load_catalog(..., journal=)`` raises the journal's own
+    error types, not :class:`CatalogFormatError`."""
+
+    @staticmethod
+    def _snapshot(tmp_path, explicit=None, remainder=(4, 1.5)):
+        catalog = StatsCatalog()
+        entry = compact_entry()
+        if explicit is not None:
+            entry.compact = CompactEndBiased(
+                explicit=explicit,
+                remainder_count=remainder[0],
+                remainder_average=remainder[1],
+            )
+        catalog.put(entry)
+        path = tmp_path / "cat.json"
+        save_catalog(catalog, path)
+        return path, MaintenanceJournal(tmp_path / "wal.jsonl")
+
+    def test_clean_journal_replays(self, tmp_path):
+        path, journal = self._snapshot(tmp_path)
+        journal.append_insert("R", "a", "x")
+        journal.append_delete("R", "a", "y")
+        restored = load_catalog(path, journal=journal.path)
+        entry = restored.require("R", "a")
+        assert entry.compact.explicit == {"x": 6.0, "y": 2.0}
+        assert entry.journal_seq == 2
+
+    def test_torn_tail_raises_journal_format_error(self, tmp_path):
+        path, journal = self._snapshot(tmp_path)
+        journal.append_insert("R", "a", "x")
+        journal.path.write_bytes(journal.path.read_bytes()[:-5])
+        with pytest.raises(JournalFormatError):
+            load_catalog(path, journal=journal.path)
+
+    def test_impossible_delete_raises_journal_replay_error(self, tmp_path):
+        path, journal = self._snapshot(tmp_path, explicit={"x": 1.0}, remainder=(0, 0.0))
+        journal.append_delete("R", "a", "nope")
+        with pytest.raises(JournalReplayError, match="empty implicit bucket"):
+            load_catalog(path, journal=journal.path)
+
+
 class TestRecordValidation:
     def test_rejects_unknown_op(self):
         with pytest.raises(JournalFormatError, match="op"):

@@ -10,7 +10,7 @@ from repro.data.quantize import quantize_to_integers
 from repro.data.zipf import zipf_frequencies
 from repro.engine.analyze import analyze_relation
 from repro.engine.catalog import CatalogEntry, CompactEndBiased, StatsCatalog
-from repro.engine.durable import temporary_path
+from repro.engine.durable import canonical_json, checksum, temporary_path
 from repro.engine.persist import (
     CatalogFormatError,
     RecoveryReport,
@@ -40,6 +40,18 @@ def compact_entry(
         distinct_count=compact.distinct_count,
         total_tuples=compact.total,
     )
+
+
+def checksummed_document(*payloads) -> dict:
+    """A format-2 catalog document whose entries wrap *payloads* intact."""
+    return {
+        "format": "repro-stats-catalog",
+        "version": 2,
+        "entries": [
+            {"checksum": checksum(canonical_json(payload)), "payload": payload}
+            for payload in payloads
+        ],
+    }
 
 
 @pytest.fixture
@@ -158,63 +170,75 @@ class TestValidation:
             load_catalog(path)
 
     def test_unknown_histogram_kind_is_typed_error(self):
-        data = {
-            "format": "repro-stats-catalog",
-            "version": 1,
-            "entries": [
-                {
-                    "relation": "R",
-                    "attribute": "a",
-                    "kind": "equi-width",
-                    "distinct_count": 2,
-                    "total_tuples": 4.0,
-                    "version": 1,
-                    "histogram": {
-                        "frequencies": [3.0, 1.0],
-                        "groups": [[0], [1]],
-                        "kind": "made-up-kind",
-                        "values": None,
-                    },
-                    "compact": None,
-                }
-            ],
-        }
+        data = checksummed_document(
+            {
+                "relation": "R",
+                "attribute": "a",
+                "kind": "equi-width",
+                "distinct_count": 2,
+                "total_tuples": 4.0,
+                "version": 1,
+                "journal_seq": 0,
+                "histogram": {
+                    "frequencies": [3.0, 1.0],
+                    "groups": [[0], [1]],
+                    "kind": "made-up-kind",
+                    "values": None,
+                },
+                "compact": None,
+            }
+        )
         with pytest.raises(CatalogFormatError, match="unknown histogram kind"):
             catalog_from_dict(data)
 
     def test_out_of_bounds_group_index_is_typed_error(self):
-        data = {
-            "format": "repro-stats-catalog",
-            "version": 1,
-            "entries": [
-                {
-                    "relation": "R",
-                    "attribute": "a",
+        data = checksummed_document(
+            {
+                "relation": "R",
+                "attribute": "a",
+                "kind": "equi-width",
+                "distinct_count": 2,
+                "total_tuples": 4.0,
+                "version": 1,
+                "journal_seq": 0,
+                "histogram": {
+                    "frequencies": [3.0, 1.0],
+                    "groups": [[0], [7]],
                     "kind": "equi-width",
-                    "distinct_count": 2,
-                    "total_tuples": 4.0,
-                    "version": 1,
-                    "histogram": {
-                        "frequencies": [3.0, 1.0],
-                        "groups": [[0], [7]],
-                        "kind": "equi-width",
-                        "values": None,
-                    },
-                    "compact": None,
-                }
-            ],
-        }
+                    "values": None,
+                },
+                "compact": None,
+            }
+        )
         with pytest.raises(CatalogFormatError, match="out of bounds"):
             catalog_from_dict(data)
 
     def test_malformed_entry_payload_is_typed_error(self):
-        data = {
+        catalog = StatsCatalog()
+        catalog.put(compact_entry())
+        unfenced = catalog_to_dict(catalog)["entries"][0]["payload"]
+        del unfenced["journal_seq"]  # required like every other key
+        for payload, key in (({"relation": "R"}, "attribute"), (unfenced, "journal_seq")):
+            with pytest.raises(CatalogFormatError, match=f"missing key '{key}'"):
+                catalog_from_dict(checksummed_document(payload))
+
+    def test_version_1_document_is_rejected(self, populated_catalog, tmp_path):
+        # The pre-checksum format: bare payloads under "version": 1.
+        data = catalog_to_dict(populated_catalog)
+        legacy = {
             "format": "repro-stats-catalog",
             "version": 1,
-            "entries": [{"relation": "R"}],
+            "entries": [item["payload"] for item in data["entries"]],
         }
-        with pytest.raises(CatalogFormatError, match="missing key"):
-            catalog_from_dict(data)
+        path = tmp_path / "legacy.json"
+        path.write_text(json.dumps(legacy))
+        with pytest.raises(CatalogFormatError, match="unsupported catalog version 1"):
+            load_catalog(path)
+        report = load_catalog(path, recover=True)
+        assert report.snapshot_found and not report.snapshot_ok
+        assert len(report.catalog) == 0
+        assert [q.relation for q in report.quarantined] == [None]
+        assert "unsupported catalog version 1" in report.quarantined[0].reason
 
     def test_catalog_format_error_is_value_error(self):
         assert issubclass(CatalogFormatError, ValueError)
@@ -311,26 +335,3 @@ class TestAtomicity:
             assert twin.version == entry.version
             assert twin.journal_seq == entry.journal_seq
 
-
-class TestLegacyFormat:
-    def test_version_1_payloads_still_load(self, populated_catalog, tmp_path):
-        data = catalog_to_dict(populated_catalog)
-        legacy = {
-            "format": "repro-stats-catalog",
-            "version": 1,
-            "entries": [item["payload"] for item in data["entries"]],
-        }
-        path = tmp_path / "legacy.json"
-        path.write_text(json.dumps(legacy))
-        restored = load_catalog(path)
-        assert len(restored) == len(populated_catalog)
-
-    def test_version_1_payload_without_journal_seq(self, tmp_path):
-        catalog = StatsCatalog()
-        catalog.put(compact_entry())
-        payload = catalog_to_dict(catalog)["entries"][0]["payload"]
-        del payload["journal_seq"]
-        legacy = {"format": "repro-stats-catalog", "version": 1, "entries": [payload]}
-        path = tmp_path / "legacy.json"
-        path.write_text(json.dumps(legacy))
-        assert load_catalog(path).require("R", "a").journal_seq == 0

@@ -196,14 +196,10 @@ def test_join_matches_exact_reference(left, right):
 @given(
     compact=compiled_compacts(),
     probes=st.lists(probe_values, min_size=0, max_size=12),
-    assume_in_domain=st.booleans(),
 )
-def test_compact_frequency_batch_matches_scalar(compact, probes, assume_in_domain):
-    batch = compact.frequency_batch(probes, assume_in_domain=assume_in_domain)
-    scalar = np.asarray(
-        [compact.frequency(v, assume_in_domain=assume_in_domain) for v in probes],
-        dtype=np.float64,
-    )
+def test_compact_frequency_batch_matches_scalar(compact, probes):
+    batch = compact.frequency_batch(probes)
+    scalar = np.asarray([compact.frequency(v) for v in probes], dtype=np.float64)
     assert np.array_equal(batch, scalar)
 
 

@@ -170,7 +170,6 @@ class TestNaNDivergence:
         compact = CompiledCompact({1.0: 5.0}, 3, 2.0)
         # Old behaviour: NaN fell into the implicit remainder bucket (2.0).
         assert compact.frequency(nan) == 0.0
-        assert compact.frequency(nan, assume_in_domain=False) == 0.0
         assert np.array_equal(
             compact.frequency_batch([nan, 1.0, 99.0]),
             np.asarray([0.0, 5.0, 2.0]),

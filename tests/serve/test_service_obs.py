@@ -84,7 +84,7 @@ class TestSnapshotDetachment:
             assert getattr(snapshot, name) == value, name
         assert snapshot._lock is not service.metrics._lock
         assert snapshot.degradation_reasons is not service.metrics.degradation_reasons
-        assert snapshot.latency_counts is not service.metrics.latency_counts
+        assert snapshot.rejection_reasons is not service.metrics.rejection_reasons
 
     def test_new_counters_cannot_be_missed(self, service):
         """The generic copy picks up fields added after the snapshot code
@@ -102,13 +102,13 @@ class TestSnapshotDetachment:
             while not stop.is_set():
                 snapshot = service.metrics.snapshot()
                 snapshot.degradation_reasons["poison"] = 10_000
-                snapshot.latency_counts[0] += 999
+                snapshot.rejection_reasons["poison"] = 999
                 snapshot.probes_served += 123
 
         def record():
             for _ in range(rounds):
                 service.metrics.record_degraded("unknown-relation")
-                service.metrics.record_latency(0.5)
+                service.metrics.record_rejected("quota-exceeded")
                 service.metrics.record_fallback()
 
         mutator = threading.Thread(target=mutate_snapshots)
@@ -125,7 +125,7 @@ class TestSnapshotDetachment:
         assert stats.degradation_reasons == {"unknown-relation": 4 * rounds}
         assert stats.degraded_probes == 4 * rounds
         assert stats.fallback_probes == 4 * rounds
-        assert sum(stats.latency_counts) == 4 * rounds
+        assert stats.rejection_reasons == {"quota-exceeded": 4 * rounds}
         assert "poison" not in stats.degradation_reasons
 
 
@@ -136,7 +136,11 @@ class TestRegistryExport:
         text = runtime.get_registry().to_prometheus()
         assert 'repro_serve_probes_total{service="unit-test-svc"} 1' in text
         assert 'repro_serve_batches_total{service="unit-test-svc"} 1' in text
-        assert "repro_serve_batch_latency_bucket" in text
+        # Batch and compile time come from the span histograms alone.
+        assert 'repro_span_duration_seconds_count{span="serve.batch"} 1' in text
+        assert 'repro_span_duration_seconds_count{span="serve.table.compile"} 1' in text
+        assert "repro_serve_batch_latency_bucket" not in text
+        assert "repro_serve_compile_seconds_total" not in text
 
     def test_collector_dies_with_the_service(self, catalog):
         import gc

@@ -113,10 +113,9 @@ class TestApplyRecovery:
         assert service.estimate_equality("R", "a", 1) > 0.0
         assert service.stats().degraded_probes == 0
 
-    def test_recovery_kwarg_on_constructor(self, catalog):
-        service = EstimationService(
-            catalog, recovery=report_quarantining(catalog)
-        )
+    def test_apply_recovery_lists_quarantined_pairs(self, catalog):
+        service = EstimationService(catalog)
+        service.apply_recovery(report_quarantining(catalog))
         assert ("R", "a") in service.quarantined
         assert service.stats().entries_quarantined == 1
 
@@ -208,7 +207,8 @@ class TestEndToEndRecovery:
 
         report = load_catalog(snapshot, recover=True)
         assert len(report.quarantined) == 1
-        service = EstimationService(report.catalog, recovery=report)
+        service = EstimationService(report.catalog)
+        service.apply_recovery(report)
         label = report.quarantined[0]
         estimate = service.estimate_equality(label.relation, label.attribute, 1)
         assert estimate == 0.0  # rows unknown for the quarantined relation

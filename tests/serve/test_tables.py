@@ -189,7 +189,6 @@ class TestCompiledCompact:
         table = compile_compact(compact)
         assert table.frequency(100) == 40.0
         assert table.frequency(7) == 2.5
-        assert table.frequency(7, assume_in_domain=False) == 0.0
 
     def test_total(self, compact):
         assert compile_compact(compact).total == pytest.approx(40 + 25 + 4 * 2.5)
@@ -204,10 +203,13 @@ class TestCompiledCompact:
             scalar = [table.frequency(v) for v in probes]
             assert np.array_equal(batch, np.asarray(scalar))
 
-    def test_batch_without_domain_assumption(self, compact):
-        table = compile_compact(compact)
-        batch = table.frequency_batch([100, 7], assume_in_domain=False)
+    def test_batch_without_domain_assumption(self):
+        # With no remainder bucket there is no domain to assume: a value
+        # that is not stored explicitly answers 0, scalar and batch alike.
+        table = CompiledCompact({100: 40.0, 200: 25.0}, 0, 0.0)
+        batch = table.frequency_batch([100, 7])
         assert np.array_equal(batch, np.asarray([40.0, 0.0]))
+        assert table.frequency(7) == 0.0
 
     def test_string_explicit_values(self):
         table = CompiledCompact({"a": 9.0}, remainder_count=2, remainder_average=1.5)

@@ -48,6 +48,26 @@ class TestSurface:
                 assert not hasattr(module, legacy)
         assert not hasattr(CompactEndBiased, "estimate")
 
+    def test_no_removed_options(self):
+        # Options no caller set, and ServiceMetrics' own timing copies.
+        import repro
+        import repro.core
+        import repro.core.estimator
+        import repro.serve
+        import repro.serve.metrics
+
+        for module, name in (
+            (api, "EstimateOptions"),
+            (repro, "EstimateOptions"),
+            (repro.core, "EstimateOptions"),
+            (repro.core.estimator, "EstimateOptions"),
+            (repro.core.estimator, "DEFAULT_ESTIMATE_OPTIONS"),
+            (repro.serve, "LATENCY_BUCKET_BOUNDS"),
+            (repro.serve.metrics, "latency_bucket_labels"),
+        ):
+            assert name not in getattr(module, "__all__", ())
+            assert not hasattr(module, name), f"{module.__name__}.{name}"
+
 
 class TestNoInternalDeprecatedCallers:
     def test_no_module_calls_deprecated_estimators(self):

@@ -199,6 +199,60 @@ class TestStatsCommands:
             main(["stats"])
 
 
+class TestAgentRunCommand:
+    """``repro agent run`` loads its snapshot strictly: a journal that
+    cannot replay is corruption (exit 3), whatever the journal's fault."""
+
+    @staticmethod
+    def _write_snapshot(tmp_path):
+        from repro.engine.catalog import CatalogEntry, CompactEndBiased, StatsCatalog
+        from repro.engine.journal import MaintenanceJournal
+        from repro.engine.persist import save_catalog
+
+        catalog = StatsCatalog()
+        catalog.put(
+            CatalogEntry(
+                relation="R",
+                attribute="a",
+                kind="end-biased",
+                histogram=None,
+                compact=CompactEndBiased(
+                    explicit={"x": 1.0}, remainder_count=0, remainder_average=0.0
+                ),
+                distinct_count=1,
+                total_tuples=1.0,
+            )
+        )
+        snapshot = tmp_path / "catalog.json"
+        save_catalog(catalog, snapshot)
+        return snapshot, MaintenanceJournal(tmp_path / "wal.jsonl")
+
+    def _run(self, tmp_path, snapshot, journal) -> int:
+        return main(
+            [
+                "agent", "run", str(tmp_path / "queue.jsonl"),
+                "--catalog", str(snapshot),
+                "--journal", str(journal.path),
+                "--max-jobs", "1",
+            ]
+        )
+
+    def test_impossible_delete_is_corruption(self, capsys, tmp_path):
+        snapshot, journal = self._write_snapshot(tmp_path)
+        journal.append_delete("R", "a", "nope")
+        assert self._run(tmp_path, snapshot, journal) == 3
+        err = capsys.readouterr().err
+        assert "repro agent: corruption:" in err
+        assert "empty implicit bucket" in err
+
+    def test_torn_journal_is_corruption(self, capsys, tmp_path):
+        snapshot, journal = self._write_snapshot(tmp_path)
+        journal.append_insert("R", "a", "x")
+        journal.path.write_bytes(journal.path.read_bytes()[:-5])
+        assert self._run(tmp_path, snapshot, journal) == 3
+        assert "repro agent: corruption:" in capsys.readouterr().err
+
+
 class TestObsCommands:
     @pytest.fixture(autouse=True)
     def fresh_registry(self):
