@@ -287,7 +287,17 @@ def _cmd_serve_stats(args) -> int:
     catalog, names = _build_synthetic_catalog(args, gen)
     service = EstimationService(catalog, on_error=args.on_error)
     if args.probes_from:
-        probes = _load_wire_probes(args.probes_from)
+        try:
+            probes = _load_wire_probes(args.probes_from)
+        except OSError as exc:
+            print(f"repro serve-stats: I/O error: {exc}", file=sys.stderr)
+            return EXIT_IO_ERROR
+        except ValueError as exc:  # invalid JSON, or a WireCodecError
+            print(
+                f"repro serve-stats: cannot replay {args.probes_from}: {exc}",
+                file=sys.stderr,
+            )
+            return 2
         print(f"replaying {len(probes)} probes from {args.probes_from}")
     else:
         probes = _build_synthetic_probes(args, gen, names)
@@ -940,7 +950,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE.json",
         default=None,
         help="replay a wire-schema probe batch instead of generating one "
-        "(see --emit-wire and docs/NETWORK.md)",
+        "(see --emit-wire and docs/NETWORK.md; exit 2 when FILE is not a "
+        "batch of this wire schema, 4 when it cannot be read)",
     )
     p.add_argument(
         "--emit-wire",

@@ -6,13 +6,14 @@ state of :class:`~repro.serve.EstimationService` cheap enough to put
 behind a network protocol and share across processes and machines.  This
 package is that boundary:
 
-* :mod:`repro.net.protocol` — the **versioned wire schema**: every probe
+* :mod:`repro.net.protocol` — the **wire schema**, one version
+  (``WIRE_SCHEMA_VERSION``; any other tag is refused): every probe
   shape, trace record, and recovery report gains ``to_wire`` /
-  ``from_wire`` codecs with a schema-version tag, NaN/±inf rejection at
-  encode time, and tagged value encoding so non-numeric (and mixed)
-  domains round-trip exactly.  Batches travel as typed columns (wire
-  v3) and result vectors as raw float64 bytes, so an answer served over
-  the wire is **bit-identical** to the in-process answer.
+  ``from_wire`` codecs, NaN/±inf rejection at encode time, and tagged
+  value encoding so non-numeric (and mixed) domains round-trip exactly.
+  Batches travel as typed columns and result vectors as raw float64
+  bytes, so an answer served over the wire is **bit-identical** to the
+  in-process answer.
 * :mod:`repro.net.server` — an asyncio server speaking length-prefixed
   JSON frames (plus a one-shot HTTP/JSON shim on the same port) with
   per-tenant token auth, quota/backpressure admission that degrades
@@ -41,12 +42,9 @@ from repro.net.client import (
     connect,
 )
 from repro.net.protocol import (
-    COLUMNS_MIN_VERSION,
     MAX_FRAME_BYTES,
-    MIN_WIRE_SCHEMA_VERSION,
     REASON_AUTH_FAILED,
     REASON_WIRE_DECODE,
-    SUPPORTED_WIRE_VERSIONS,
     WIRE_SCHEMA_VERSION,
     FrameDecoder,
     WireCodecError,
@@ -81,12 +79,9 @@ from repro.net.server import (
 )
 
 __all__ = [
-    "COLUMNS_MIN_VERSION",
     "MAX_FRAME_BYTES",
-    "MIN_WIRE_SCHEMA_VERSION",
     "REASON_AUTH_FAILED",
     "REASON_WIRE_DECODE",
-    "SUPPORTED_WIRE_VERSIONS",
     "WIRE_SCHEMA_VERSION",
     "DEFAULT_CHUNK_PROBES",
     "ReadinessCheck",

@@ -36,9 +36,9 @@ from repro.net.client import (
     BatchCall,
     ClientError,
     ConnectionFailedError,
-    ProtocolError,
     RetrySchedule,
     join_chunks,
+    welcome_tenant,
 )
 from repro.obs import tracing
 from repro.obs.tracing import span
@@ -81,13 +81,6 @@ class AsyncEstimationClient:
         self._reader: Optional[asyncio.StreamReader] = None
         self._writer: Optional[asyncio.StreamWriter] = None
         self._next_id = 1
-        #: Negotiated wire schema (see the sync flavor's docstring).
-        self._wire_version = protocol.WIRE_SCHEMA_VERSION
-
-    @property
-    def wire_version(self) -> int:
-        """The negotiated wire schema version for this connection."""
-        return self._wire_version
 
     # -- connection lifecycle ------------------------------------------
 
@@ -136,33 +129,8 @@ class AsyncEstimationClient:
         )
         self._reader, self._writer = reader, writer
         try:
-            await self._send(
-                protocol.hello_request(token=self.token, version=self._wire_version)
-            )
-            welcome = await self._recv_frame()
-            protocol.check_version(welcome)
-            if welcome.get("op") == "error":
-                code = str(welcome.get("code", "error"))
-                if code == protocol.REASON_AUTH_FAILED:
-                    raise AuthenticationError(
-                        f"server refused token: {welcome.get('detail', '')}"
-                    )
-                if (
-                    code == "wire-version"
-                    and self._wire_version > protocol.MIN_WIRE_SCHEMA_VERSION
-                ):
-                    # Older server: step down one version and redo the
-                    # handshake (see the sync flavor).
-                    self._wire_version -= 1
-                    await self._teardown()
-                    await self._open_once()
-                    return
-                raise ProtocolError(f"handshake failed: {welcome}")
-            if welcome.get("op") != "welcome":
-                raise ProtocolError(
-                    f"expected a welcome frame, got {welcome.get('op')!r}"
-                )
-            self.tenant = welcome.get("tenant")
+            await self._send(protocol.hello_request(token=self.token))
+            self.tenant = welcome_tenant(await self._recv_frame())
         except BaseException:
             await self._teardown()
             raise
@@ -212,7 +180,7 @@ class AsyncEstimationClient:
     async def ping(self) -> bool:
         """Round-trip a ping frame; True on pong."""
         await self.connect()
-        await self._send(protocol.message("ping", version=self._wire_version))
+        await self._send(protocol.message("ping"))
         return (await self._recv_frame()).get("op") == "pong"
 
     async def estimate_batch(
@@ -252,7 +220,6 @@ class AsyncEstimationClient:
                     on_error=on_error if on_error is not None else self.on_error,
                     trace=trace,
                     trace_context=client_span.context,
-                    wire_version=self._wire_version,
                 )
                 try:
                     await self._send(call.request())
@@ -294,7 +261,6 @@ class AsyncEstimationClient:
             # Matches the sync flavor: no client span around a generator,
             # but the stream joins the surrounding trace when one exists.
             trace_context=tracing.current_trace_context(),
-            wire_version=self._wire_version,
         )
         try:
             await self._send(call.request())

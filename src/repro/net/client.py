@@ -10,11 +10,12 @@ Usage::
 
 Both flavors — this module's :class:`EstimationClient` and
 :class:`~repro.net.aio.AsyncEstimationClient` — are thin transports
-around one sans-IO core (:class:`BatchCall`): the core builds request
-frames, consumes response frames, reassembles streamed chunks into one
-float64 vector, and surfaces degradation traces.  Keeping every protocol
-decision in the shared core is what makes the two flavors answer
-bit-identically.
+around one sans-IO core: :func:`welcome_tenant` reads the server's reply
+to the ``hello`` handshake, and :class:`BatchCall` builds each batch
+request (always the wire schema's column form), consumes the response
+frames, hands back each streamed chunk's float64 slice, and surfaces
+degradation traces.  Keeping every protocol decision in the shared core
+is what makes the two flavors answer bit-identically.
 
 Degradation reasons are *surfaced, never swallowed*: pass ``trace=`` to
 receive decoded :class:`~repro.serve.ProbeTrace` records (including the
@@ -164,6 +165,30 @@ class RetrySchedule:
         return delay
 
 
+def welcome_tenant(frame: dict) -> Optional[str]:
+    """The tenant named by the server's reply to ``hello``.
+
+    Raises :class:`AuthenticationError` when the server refused the token
+    and :class:`ProtocolError` for any other refusal (``wire-version``
+    included) or reply, and for a reply stamped with another schema
+    version — identically for both transports.
+    """
+    try:
+        protocol.check_version(frame)
+    except protocol.WireVersionError as exc:
+        raise ProtocolError(f"handshake failed: {exc}") from exc
+    op = frame.get("op")
+    if op == "error":
+        if frame.get("code") == protocol.REASON_AUTH_FAILED:
+            raise AuthenticationError(
+                f"server refused token: {frame.get('detail', '')}"
+            )
+        raise ProtocolError(f"handshake failed: {frame}")
+    if op != "welcome":
+        raise ProtocolError(f"expected a welcome frame, got {op!r}")
+    return frame.get("tenant")
+
+
 class BatchCall:
     """Sans-IO state machine for one batch request/response exchange.
 
@@ -173,8 +198,8 @@ class BatchCall:
     transport assembles (or streams) the slices.  Raises
     :class:`RemoteBatchError` on a server error frame and
     :class:`ProtocolError` on schema junk — identically for both
-    transports.  At wire schema v3+ the batch travels in column form
-    (:func:`~repro.net.protocol.probes_to_columns`), below it as rows.
+    transports.  The batch travels in column form
+    (:func:`~repro.net.protocol.probes_to_columns`).
     """
 
     def __init__(
@@ -185,25 +210,15 @@ class BatchCall:
         on_error: Optional[str],
         trace: Optional[Callable[[ProbeTrace], None]],
         trace_context: Optional[TraceContext] = None,
-        wire_version: Optional[int] = None,
     ):
         self._count = len(probes)
-        envelope = dict(
+        self._request = protocol.columns_request(
+            protocol.probes_to_columns(probes),
             request_id=request_id,
             on_error=on_error,
             want_traces=trace is not None,
             trace_context=trace_context,
-            version=wire_version,
         )
-        version = protocol.WIRE_SCHEMA_VERSION if wire_version is None else wire_version
-        if version >= protocol.COLUMNS_MIN_VERSION:
-            self._request = protocol.columns_request(
-                protocol.probes_to_columns(probes), **envelope
-            )
-        else:
-            self._request = protocol.batch_request(
-                protocol.probes_to_wire(probes), **envelope
-            )
         self._request_id = request_id
         self._trace = trace
         self._received = 0
@@ -301,16 +316,6 @@ class EstimationClient:
         #: Frames received ahead of their reader (pipelined responses).
         self._pending: list[dict] = []
         self._next_id = 1
-        #: The wire schema this connection speaks.  Starts at this
-        #: build's native version; each "wire-version" refusal during the
-        #: handshake (an older server) steps it down one version and
-        #: redoes the hello.
-        self._wire_version = protocol.WIRE_SCHEMA_VERSION
-
-    @property
-    def wire_version(self) -> int:
-        """The negotiated wire schema version for this connection."""
-        return self._wire_version
 
     # -- connection lifecycle ------------------------------------------
 
@@ -365,36 +370,8 @@ class EstimationClient:
             self._decoder = protocol.FrameDecoder()
             self._pending.clear()
             self._sock = sock
-            self._send(
-                protocol.hello_request(token=self.token, version=self._wire_version)
-            )
-            welcome = self._recv_frame()
-            protocol.check_version(welcome)
-            if welcome.get("op") == "error":
-                code = str(welcome.get("code", "error"))
-                if code == protocol.REASON_AUTH_FAILED:
-                    raise AuthenticationError(
-                        f"server refused token: {welcome.get('detail', '')}"
-                    )
-                if (
-                    code == "wire-version"
-                    and self._wire_version > protocol.MIN_WIRE_SCHEMA_VERSION
-                ):
-                    # An older server refused this version: step down one
-                    # version (keeping every feature the server may still
-                    # speak, e.g. v2's trace_context) and redo the
-                    # handshake on a fresh connection.
-                    self._wire_version -= 1
-                    self._sock = None
-                    sock.close()
-                    self._open_once()
-                    return
-                raise ProtocolError(f"handshake failed: {welcome}")
-            if welcome.get("op") != "welcome":
-                raise ProtocolError(
-                    f"expected a welcome frame, got {welcome.get('op')!r}"
-                )
-            self.tenant = welcome.get("tenant")
+            self._send(protocol.hello_request(token=self.token))
+            self.tenant = welcome_tenant(self._recv_frame())
         except BaseException:
             self._sock = None
             sock.close()
@@ -440,7 +417,7 @@ class EstimationClient:
     def ping(self) -> bool:
         """Round-trip a ping frame; True on pong."""
         self.connect()
-        self._send(protocol.message("ping", version=self._wire_version))
+        self._send(protocol.message("ping"))
         return self._next_frames_one().get("op") == "pong"
 
     def _next_frames_one(self) -> dict:
@@ -467,7 +444,7 @@ class EstimationClient:
         schedule = self._schedule()
         attempt = 0
         # The client-side span for this batch: the request carries its
-        # context (at wire v2+), so the server's net.batch span — and
+        # context, so the server's net.batch span — and
         # everything under it, including maintenance jobs the batch
         # triggers — joins THIS trace.
         with span(
@@ -484,7 +461,6 @@ class EstimationClient:
                     on_error=on_error if on_error is not None else self.on_error,
                     trace=trace,
                     trace_context=client_span.context,
-                    wire_version=self._wire_version,
                 )
                 try:
                     self._send(call.request())
@@ -529,7 +505,6 @@ class EstimationClient:
             # A generator outlives its call frame, so no span is opened
             # here; the stream still joins the caller's trace if any.
             trace_context=tracing.current_trace_context(),
-            wire_version=self._wire_version,
         )
         try:
             self._send(call.request())

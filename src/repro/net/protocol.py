@@ -1,4 +1,4 @@
-"""The versioned wire schema shared verbatim by the server and the SDK.
+"""The wire schema shared verbatim by the server and the SDK.
 
 Serialization-first redesign of the probe API: every probe shape
 (:class:`~repro.serve.EqualityProbe`, :class:`~repro.serve.RangeProbe`,
@@ -12,9 +12,9 @@ bit-identity guarantee in ``docs/NETWORK.md``.
 Design rules
 ------------
 
-* **Versioned.** Every envelope carries ``{"v": WIRE_SCHEMA_VERSION}``;
-  decoding a frame from a different major version raises
-  :class:`WireVersionError` instead of guessing.
+* **One version.** Every envelope carries ``{"v": WIRE_SCHEMA_VERSION}``;
+  a frame tagged with anything else raises :class:`WireVersionError`
+  instead of being guessed at.
 * **Lossless values.** JSON alone cannot round-trip Python probe values
   (it conflates ``1`` and ``1.0``, loses tuples, and cannot carry NaN).
   Values travel in a tagged encoding — plain JSON strings for the common
@@ -31,7 +31,7 @@ Design rules
   legitimately contain NaN (the ``on_error="nan"`` policy), so they
   travel as base64 of the raw little-endian float64 buffer
   (:func:`encode_estimates`), never as JSON numbers.
-* **Columnar batches (v3).** A batch may travel as typed columns
+* **Columnar batches.** A batch may travel as typed columns
   (:func:`probes_to_columns`) instead of one JSON object per probe:
   kind codes, interned names with int32 index columns, and value/bound
   columns as raw little-endian int64/float64 buffers in the same base64
@@ -72,33 +72,11 @@ from repro.serve.service import (
     RangeProbe,
 )
 
-#: Current wire schema version.  Bump on any incompatible change to the
-#: envelope, the probe encodings, or the value tagging.
-#:
-#: * v1 — framed protocol + HTTP shim, probe/value codecs, chunked
-#:   streaming.
-#: * v2 — adds the *optional* ``trace_context`` field on batch requests
-#:   (framed and HTTP).  Responses are unchanged; a v2 speaker answers a
-#:   v1 peer with v1-stamped frames, bit-identically to a v1 build.
-#: * v3 — a batch request may carry ``columns`` (the typed column form of
-#:   :func:`probes_to_columns`) in place of the row-form ``probes`` list.
-#:   Responses are unchanged.
+#: The one wire schema version: stamped on every envelope sent and
+#: required of every envelope received, so a peer speaking the retired
+#: schemas 1 and 2 is refused like any other.  Bump on any incompatible
+#: change to the envelope, the probe encodings, or the value tagging.
 WIRE_SCHEMA_VERSION = 3
-
-#: Every wire schema version this build can speak.  The server accepts
-#: older hellos/requests (and mirrors the peer's version in its
-#: responses); a client steps down one version at a time when an older
-#: server refuses its hello.
-SUPPORTED_WIRE_VERSIONS = frozenset({1, 2, 3})
-
-#: The lowest version still supported (the last step-down target).
-MIN_WIRE_SCHEMA_VERSION = min(SUPPORTED_WIRE_VERSIONS)
-
-#: First wire schema version that carries ``trace_context`` on batches.
-TRACE_CONTEXT_MIN_VERSION = 2
-
-#: First wire schema version whose batches may carry ``columns``.
-COLUMNS_MIN_VERSION = 3
 
 #: Hard bound on one frame's JSON payload (16 MiB).  A length prefix
 #: beyond this is treated as a protocol error — it is far more likely a
@@ -486,7 +464,7 @@ def decode_estimates(wire: Any) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Columnar batch codec (v3)
+# Columnar batch codec
 # ---------------------------------------------------------------------------
 
 #: Value-column dtypes shipped as raw arrays (anything else is tagged).
@@ -540,7 +518,7 @@ def _values_to_wire(values: ValueColumn) -> dict:
 
 
 def probes_to_columns(probes: Iterable[Probe]) -> dict:
-    """Encode a probe sequence as a v3 ``columns`` payload.
+    """Encode a probe sequence as a ``columns`` payload.
 
     Layout: ``n`` probes; ``names`` (the interned relation/attribute
     strings); ``kind`` (uint8 kind codes); ``rel``/``attr`` (int32 name
@@ -631,7 +609,7 @@ def _bad_ids(ids: np.ndarray, valid: np.ndarray) -> np.ndarray:
 
 
 def columns_from_wire(wire: Any) -> tuple[ProbeColumns, np.ndarray]:
-    """Decode a v3 ``columns`` payload into columns plus a failure mask.
+    """Decode a ``columns`` payload into columns plus a failure mask.
 
     A name index outside ``names`` (or naming a non-string) and an
     undecodable tagged value fail only their own position: the returned
@@ -706,33 +684,28 @@ def columns_from_wire(wire: Any) -> tuple[ProbeColumns, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def message(op: str, *, version: Optional[int] = None, **fields: Any) -> dict:
-    """A protocol envelope: ``op`` plus the schema-version tag.
-
-    *version* overrides the stamped schema version — how a v2 speaker
-    answers a v1 peer with frames the old build accepts verbatim.
-    """
-    body = {"v": WIRE_SCHEMA_VERSION if version is None else int(version), "op": op}
+def message(op: str, **fields: Any) -> dict:
+    """A protocol envelope: ``op`` plus the schema-version tag."""
+    body = {"v": WIRE_SCHEMA_VERSION, "op": op}
     body.update(fields)
     return body
 
 
-def check_version(wire: dict) -> int:
-    """Raise :class:`WireVersionError` unless *wire* tags a supported version.
+def check_version(wire: dict) -> None:
+    """Raise :class:`WireVersionError` unless *wire* tags ``WIRE_SCHEMA_VERSION``.
 
-    Returns the (validated) version so callers can mirror it back.
+    The tag must be that int itself: ``true`` or ``3.0`` is refused too.
     """
     version = wire.get("v")
-    if version not in SUPPORTED_WIRE_VERSIONS:
+    if type(version) is not int or version != WIRE_SCHEMA_VERSION:
         raise WireVersionError(
             f"peer speaks wire schema version {version!r}, this build speaks "
-            f"{sorted(SUPPORTED_WIRE_VERSIONS)}"
+            f"only {WIRE_SCHEMA_VERSION}"
         )
-    return int(version)
 
 
 def trace_context_to_wire(context: TraceContext) -> dict:
-    """The wire form of a trace context (v2+ ``trace_context`` field)."""
+    """The wire form of a trace context (a batch's ``trace_context`` field)."""
     body = {"trace_id": context.trace_id, "span_id": context.span_id}
     if not context.sampled:
         body["sampled"] = False
@@ -855,20 +828,13 @@ def _batch_envelope(
     on_error: Optional[str],
     want_traces: bool,
     trace_context: Optional[TraceContext],
-    version: Optional[int],
 ) -> dict:
     body = message(
-        "batch",
-        version=version,
-        id=int(request_id),
-        **{field: payload},
-        traces=bool(want_traces),
+        "batch", id=int(request_id), **{field: payload}, traces=bool(want_traces)
     )
     if on_error is not None:
         body["on_error"] = on_error
-    if trace_context is not None and (
-        version is None or int(version) >= TRACE_CONTEXT_MIN_VERSION
-    ):
+    if trace_context is not None:
         body["trace_context"] = trace_context_to_wire(trace_context)
     return body
 
@@ -880,14 +846,11 @@ def batch_request(
     on_error: Optional[str] = None,
     want_traces: bool = False,
     trace_context: Optional[TraceContext] = None,
-    version: Optional[int] = None,
 ) -> dict:
-    """The row-form batch-submit envelope (every wire schema version).
+    """The row-form batch-submit envelope: one wire object per probe.
 
     ``trace_context`` joins the request into an existing trace; it is
-    only emitted at wire schema v2+ (and never as ``null`` — a request
-    without a context simply omits the field, so v1 peers see the exact
-    bytes a v1 build would send).
+    never sent as ``null`` — a request without a context omits the field.
     """
     return _batch_envelope(
         "probes",
@@ -896,7 +859,6 @@ def batch_request(
         on_error=on_error,
         want_traces=want_traces,
         trace_context=trace_context,
-        version=version,
     )
 
 
@@ -907,18 +869,12 @@ def columns_request(
     on_error: Optional[str] = None,
     want_traces: bool = False,
     trace_context: Optional[TraceContext] = None,
-    version: Optional[int] = None,
 ) -> dict:
-    """The v3 batch-submit envelope carrying a :func:`probes_to_columns` payload.
+    """The batch-submit envelope carrying a :func:`probes_to_columns` payload.
 
     Same fields as :func:`batch_request` with ``columns`` in place of
-    ``probes``; raises :class:`WireCodecError` below v3.
+    ``probes``.
     """
-    if version is not None and int(version) < COLUMNS_MIN_VERSION:
-        raise WireCodecError(
-            f"columnar batches need wire schema v{COLUMNS_MIN_VERSION}+, "
-            f"not v{version}"
-        )
     return _batch_envelope(
         "columns",
         columns_wire,
@@ -926,24 +882,18 @@ def columns_request(
         on_error=on_error,
         want_traces=want_traces,
         trace_context=trace_context,
-        version=version,
     )
 
 
-def batch_payload(request: dict, version: int) -> tuple[str, Any]:
+def batch_payload(request: dict) -> tuple[str, Any]:
     """``("probes", list)`` or ``("columns", dict)`` of a batch request.
 
-    A batch carries exactly one of the two, and ``columns`` only at v3+;
-    anything else raises :class:`WireCodecError` naming the problem.
+    A batch carries exactly one of the two; anything else raises
+    :class:`WireCodecError` naming the problem.
     """
     if "columns" in request:
         if "probes" in request:
             raise WireCodecError("a batch carries probes or columns, not both")
-        if version < COLUMNS_MIN_VERSION:
-            raise WireCodecError(
-                f"batch.columns needs wire schema v{COLUMNS_MIN_VERSION}+, "
-                f"this request speaks v{version}"
-            )
         columns = request["columns"]
         if not isinstance(columns, dict):
             raise WireCodecError("batch.columns must be an object")
@@ -954,11 +904,9 @@ def batch_payload(request: dict, version: int) -> tuple[str, Any]:
     return "probes", probes
 
 
-def hello_request(
-    *, token: Optional[str] = None, version: Optional[int] = None
-) -> dict:
+def hello_request(*, token: Optional[str] = None) -> dict:
     """The connection-opening envelope (token auth happens here)."""
-    body = message("hello", version=version)
+    body = message("hello")
     if token is not None:
         body["token"] = token
     return body

@@ -22,7 +22,7 @@ One :class:`EstimationServer` wraps one in-process
   ``admission=`` hook, exactly like today's unanswerable probes.  A
   malformed probe entry degrades alone (``REASON_WIRE_DECODE``); the
   rest of its batch is answered.
-* **Columnar decode** — a v3 ``columns`` batch becomes a
+* **Columnar decode** — a ``columns`` batch becomes a
   :class:`~repro.serve.ProbeFrame` straight from its arrays
   (:meth:`~repro.serve.ProbeFrame.from_columns`), with admission
   verdicts computed as masks; the service settles the rejected
@@ -32,10 +32,11 @@ One :class:`EstimationServer` wraps one in-process
   metric registry (``repro_net_batches_total{tenant=...}`` and friends).
 
 What runs where: everything runs on the event-loop thread.  Each
-request's JSON parse, its probe decode (per entry at v1/v2; at v3
-``columns_from_wire`` and ``ProbeFrame.from_columns``), the admission
-masks and ``estimate_batch`` run as one synchronous step, and the result
-is then encoded and streamed back.  There is no executor hop: on
+request's JSON parse, its probe decode (per entry for a row-form
+``probes`` body; ``columns_from_wire`` and ``ProbeFrame.from_columns``
+for a ``columns`` body), the admission masks and ``estimate_batch`` run
+as one synchronous step, and the result is then encoded and streamed
+back.  There is no executor hop: on
 2000-probe equality/range batches the decode alone costs more than the
 answer, and the two thread handoffs cost more than the answer saved by
 running it off the loop.  A batch therefore holds the loop for its
@@ -159,7 +160,7 @@ class _TenantState:
 class _DecodedBatch:
     """One batch request after decode + admission."""
 
-    #: The row-form probes (v1/v2), or the frame built from v3 columns.
+    #: The decoded row-form probes, or the frame built from columns.
     probes: Union[list[Probe], ProbeFrame]
     #: Aligned rejection reasons (``None`` = admitted), or ``None`` when
     #: every probe was admitted.  Decode failures are pre-marked here.
@@ -490,29 +491,18 @@ class EstimationServer:
         if hello is None:
             return
         try:
-            conn_version = protocol.check_version(hello)
+            protocol.check_version(hello)
         except protocol.WireVersionError as exc:
-            # Stamp the refusal with the *oldest* supported version so a
-            # strict old peer can still parse it.
             await self._send_frame(
                 writer,
-                protocol.message(
-                    "error",
-                    version=protocol.MIN_WIRE_SCHEMA_VERSION,
-                    code="wire-version",
-                    detail=str(exc),
-                ),
+                protocol.message("error", code="wire-version", detail=str(exc)),
             )
             return
-        # Every response frame mirrors the peer's negotiated version: a
-        # v1 client checks strict equality on frames it reads, so a v2
-        # server must keep speaking v1 on that connection.
         if hello.get("op") != "hello":
             await self._send_frame(
                 writer,
                 protocol.message(
                     "error",
-                    version=conn_version,
                     code="protocol-error",
                     detail="connection must open with a hello frame",
                 ),
@@ -527,7 +517,6 @@ class EstimationServer:
                 writer,
                 protocol.message(
                     "error",
-                    version=conn_version,
                     code=protocol.REASON_AUTH_FAILED,
                     detail="unknown tenant token",
                 ),
@@ -536,10 +525,7 @@ class EstimationServer:
         await self._send_frame(
             writer,
             protocol.message(
-                "welcome",
-                version=conn_version,
-                tenant=tenant.config.name,
-                server=self.name,
+                "welcome", tenant=tenant.config.name, server=self.name
             ),
         )
         while not self._stopping:
@@ -549,17 +535,14 @@ class EstimationServer:
             with self._responding_to_request():
                 op = request.get("op")
                 if op == "ping":
-                    await self._send_frame(
-                        writer, protocol.message("pong", version=conn_version)
-                    )
+                    await self._send_frame(writer, protocol.message("pong"))
                 elif op == "batch":
-                    await self._handle_batch(request, tenant, writer, conn_version)
+                    await self._handle_batch(request, tenant, writer)
                 else:
                     await self._send_frame(
                         writer,
                         protocol.message(
                             "error",
-                            version=conn_version,
                             code="unknown-op",
                             detail=f"unknown op {op!r}",
                         ),
@@ -575,7 +558,6 @@ class EstimationServer:
         payload: object,
         tenant: _TenantState,
         *,
-        version: int,
         context: Optional[TraceContext],
     ) -> _DecodedBatch:
         """Decode one batch payload and apply admission limits.
@@ -588,7 +570,7 @@ class EstimationServer:
             "net.decode",
             context=context,
             server=self.name,
-            schema=version,
+            schema=protocol.WIRE_SCHEMA_VERSION,
             probes=_declared_probes(form, payload),
         ):
             probes: Union[list[Probe], ProbeFrame]
@@ -652,8 +634,8 @@ class EstimationServer:
     ) -> TraceContext:
         """The trace this request belongs to: the client's, or a new one.
 
-        An absent ``trace_context`` field (every v1 peer) starts a new
-        trace; a *malformed* one is counted and ignored rather than
+        An absent ``trace_context`` field (an untraced caller) starts a
+        new trace; a *malformed* one is counted and ignored rather than
         refused — tracing is an observability concern and must never
         fail a batch that would otherwise be answered.
         """
@@ -722,7 +704,6 @@ class EstimationServer:
         on_error: Optional[str],
         want_traces: bool,
         *,
-        version: int,
         context: Optional[TraceContext] = None,
     ) -> tuple[_DecodedBatch, np.ndarray, Optional[list[ProbeTrace]]]:
         """Decode, admit and answer one batch in one synchronous step.
@@ -732,9 +713,7 @@ class EstimationServer:
         handed to the transport.  A batch that fails to answer releases
         them here.
         """
-        batch = self._decode_batch(
-            form, payload, tenant, version=version, context=context
-        )
+        batch = self._decode_batch(form, payload, tenant, context=context)
         try:
             estimates, traces = self._run_batch(
                 batch, tenant.config.name, on_error, want_traces, context
@@ -749,13 +728,12 @@ class EstimationServer:
         request: dict,
         tenant: _TenantState,
         writer: asyncio.StreamWriter,
-        version: int,
     ) -> None:
         request_id = request.get("id", 0)
         try:
-            form, payload = protocol.batch_payload(request, version)
+            form, payload = protocol.batch_payload(request)
         except protocol.WireCodecError as exc:
-            await self._send_protocol_error(writer, version, request_id, exc)
+            await self._send_protocol_error(writer, request_id, exc)
             return
         on_error = request.get("on_error")
         # Detached span (concurrent tasks share this thread) joining the
@@ -780,13 +758,12 @@ class EstimationServer:
                     tenant,
                     on_error,
                     bool(request.get("traces")),
-                    version=version,
                     context=batch_span.context,
                 )
             except protocol.WireCodecError as exc:
                 # Structural junk in a columns payload: a typed refusal of
                 # this batch; the connection and its other requests live on.
-                await self._send_protocol_error(writer, version, request_id, exc)
+                await self._send_protocol_error(writer, request_id, exc)
                 return
             except Exception as exc:
                 # on_error="raise" (or an invalid policy string) surfaces
@@ -796,7 +773,6 @@ class EstimationServer:
                     writer,
                     protocol.message(
                         "error",
-                        version=version,
                         id=request_id,
                         code="batch-failed",
                         error_type=type(exc).__name__,
@@ -806,12 +782,7 @@ class EstimationServer:
                 return
             try:
                 await self._stream_result(
-                    writer,
-                    request_id,
-                    estimates,
-                    traces,
-                    version=version,
-                    context=batch_span.context,
+                    writer, request_id, estimates, traces, context=batch_span.context
                 )
             finally:
                 self._release_pending(batch, tenant)
@@ -819,7 +790,6 @@ class EstimationServer:
     async def _send_protocol_error(
         self,
         writer: asyncio.StreamWriter,
-        version: int,
         request_id: object,
         exc: protocol.WireCodecError,
     ) -> None:
@@ -827,7 +797,6 @@ class EstimationServer:
             writer,
             protocol.message(
                 "error",
-                version=version,
                 id=request_id,
                 code="protocol-error",
                 detail=str(exc),
@@ -841,7 +810,6 @@ class EstimationServer:
         estimates: np.ndarray,
         traces: Optional[list[ProbeTrace]],
         *,
-        version: Optional[int] = None,
         context: Optional[TraceContext] = None,
     ) -> None:
         """Stream one result as ``chunk`` frames (always at least one)."""
@@ -853,7 +821,6 @@ class EstimationServer:
                 end = min(start + chunk, total)
                 frame = protocol.message(
                     "chunk",
-                    version=version,
                     id=request_id,
                     start=start,
                     count=total,
@@ -970,19 +937,27 @@ class EstimationServer:
             return
         try:
             length = int(headers.get("content-length", "0"))
-            body = await reader.readexactly(length) if length else b""
-            request = protocol.decode_frame(body)
-            req_version = protocol.check_version(request)
-        except (
-            ValueError,
-            asyncio.IncompleteReadError,
-            protocol.WireCodecError,
-        ) as exc:
+        except ValueError as exc:
             await _http_respond(writer, 400, {"error": str(exc)})
             return
+        if length > protocol.MAX_FRAME_BYTES:
+            # Refused before reading a body byte, like an oversized frame.
+            await _http_respond(
+                writer,
+                413,
+                {
+                    "error": f"request body of {length} bytes exceeds "
+                    f"MAX_FRAME_BYTES ({protocol.MAX_FRAME_BYTES})"
+                },
+            )
+            return
         try:
-            form, entries = protocol.batch_payload(request, req_version)
-        except protocol.WireCodecError as exc:
+            body = await reader.readexactly(length) if length else b""
+            request = protocol.decode_frame(body)
+            protocol.check_version(request)
+            form, entries = protocol.batch_payload(request)
+        except (ValueError, asyncio.IncompleteReadError) as exc:
+            # WireCodecError (version, JSON, envelope) is a ValueError.
             await _http_respond(writer, 400, {"error": str(exc)})
             return
         context = self._request_trace_context(request, tenant)
@@ -1006,7 +981,6 @@ class EstimationServer:
                     tenant,
                     request.get("on_error"),
                     bool(request.get("traces")),
-                    version=req_version,
                     context=batch_span.context,
                 )
             except protocol.WireCodecError as exc:
@@ -1022,7 +996,6 @@ class EstimationServer:
         try:
             payload = protocol.message(
                 "result",
-                version=req_version,
                 count=int(estimates.size),
                 estimates=protocol.encode_estimates(estimates),
             )
@@ -1062,6 +1035,7 @@ _HTTP_REASONS = {
     400: "Bad Request",
     401: "Unauthorized",
     404: "Not Found",
+    413: "Payload Too Large",
     422: "Unprocessable Entity",
     503: "Service Unavailable",
 }

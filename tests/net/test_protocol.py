@@ -285,8 +285,8 @@ class TestFraming:
             decode_frame(b"\xff\xfe")
 
     def test_version_check(self):
+        """One version: the retired 1 and 2, a later one, none, and true are refused."""
         protocol.check_version(protocol.message("ping"))
-        with pytest.raises(WireVersionError):
-            protocol.check_version({"v": protocol.WIRE_SCHEMA_VERSION + 1})
-        with pytest.raises(WireVersionError):
-            protocol.check_version({})
+        for refused in ({"v": 1}, {"v": 2}, {"v": 99}, {}, {"v": True}):
+            with pytest.raises(WireVersionError):
+                protocol.check_version(refused)

@@ -644,6 +644,16 @@ class TestHttpShim:
             )
             assert conn.getresponse().status == 200
 
+    def test_oversized_body_refused_before_reading(self, server):
+        """A declared body past MAX_FRAME_BYTES is answered 413 at once."""
+        conn = http.client.HTTPConnection(*server.address, timeout=3)
+        conn.putrequest("POST", "/v1/batch")
+        conn.putheader("Content-Length", str(8 * protocol.MAX_FRAME_BYTES))
+        conn.endheaders()  # the head alone: no body byte is ever sent
+        response = conn.getresponse()
+        assert response.status == 413
+        assert "MAX_FRAME_BYTES" in json.loads(response.read())["error"]
+
     def test_unknown_endpoint_404(self, server):
         host, port = server.address
         conn = http.client.HTTPConnection(host, port, timeout=10)

@@ -1,11 +1,14 @@
-"""Wire schema v3: columnar batches answer exactly like row-form ones.
+"""Columnar batches answer exactly like row-form ones.
 
-A v3 ``batch`` carries ``columns`` (kind codes, interned names, raw
+A ``batch`` may carry ``columns`` (kind codes, interned names, raw
 int64/float64 value columns, tagged values only where a column is not
-plain numeric) instead of one JSON object per probe.  The contract:
+plain numeric) instead of one JSON object per probe.  Test names say
+"v3" for the column form and "v2" for the row form, the form the
+retired schema v2 sent; both now travel at the one wire version.  The
+contract:
 
-* for any batch, v3 == v2 == in-process ``estimate_batch``, bit for bit,
-  with identical ``trace=`` records in identical order;
+* for any batch, columns == rows == in-process ``estimate_batch``, bit
+  for bit, with identical ``trace=`` records in identical order;
 * the v3 encoder refuses exactly what the row codec refuses;
 * a bad name index or an undecodable tagged value degrades only its own
   position (``wire-decode-failed``); structural junk is a typed
@@ -95,15 +98,14 @@ def service():
 
 
 class RawPeer:
-    """One handshaken connection driving the SDK core at a fixed version."""
+    """One handshaken connection driving the SDK core."""
 
-    def __init__(self, address, version, token=None):
-        self.version = version
+    def __init__(self, address, token=None):
         self._sock = socket.create_connection(address, timeout=30.0)
         self._decoder = protocol.FrameDecoder()
         self._pending = []
         self._next_id = 1
-        self.send(protocol.hello_request(token=token, version=version))
+        self.send(protocol.hello_request(token=token))
         assert self.recv()["op"] == "welcome"
 
     def close(self):
@@ -118,22 +120,29 @@ class RawPeer:
             assert data, "server closed the connection"
             self._pending.extend(self._decoder.feed(data))
         frame = self._pending.pop(0)
-        assert frame["v"] == self.version
+        assert frame["v"] == protocol.WIRE_SCHEMA_VERSION
         return frame
 
-    def batch(self, probes, on_error=None):
-        """(estimates, traces) for *probes* through a BatchCall at this version."""
+    def batch(self, probes, on_error=None, form="columns"):
+        """(estimates, traces) for *probes*, read back through a BatchCall.
+
+        ``form="probes"`` sends the same batch in the row form instead of
+        the SDK's column form.
+        """
         traces = []
         call = BatchCall(
-            probes,
-            request_id=self._next_id,
-            on_error=on_error,
-            trace=traces.append,
-            wire_version=self.version,
+            probes, request_id=self._next_id, on_error=on_error, trace=traces.append
         )
-        self._next_id += 1
         request = call.request()
-        assert ("columns" in request) == (self.version >= 3)
+        assert "columns" in request
+        if form == "probes":
+            request = protocol.batch_request(
+                protocol.probes_to_wire(probes),
+                request_id=self._next_id,
+                on_error=on_error,
+                want_traces=True,
+            )
+        self._next_id += 1
         self.send(request)
         chunks = []
         while not call.done:
@@ -162,7 +171,7 @@ def chunk_traces(frames):
 
 
 # ---------------------------------------------------------------------------
-# v3 == v2 == in-process, for arbitrary mixed batches
+# columns == rows == in-process, for arbitrary mixed batches
 # ---------------------------------------------------------------------------
 
 #: Value families: a batch draws one, so homogeneous columns (the raw
@@ -223,12 +232,11 @@ def shared():
     runtime.reset()
     service = build_service()
     with serve_in_thread(service, name="v3-props") as handle:
-        peers = {v: RawPeer(handle.address, v) for v in (2, 3)}
+        peer = RawPeer(handle.address)
         try:
-            yield service, peers
+            yield service, peer
         finally:
-            for peer in peers.values():
-                peer.close()
+            peer.close()
 
 
 #: The autouse obs reset runs once per test, not per example — harmless.
@@ -240,14 +248,14 @@ PROPERTY = settings(
 @settings(PROPERTY, max_examples=80)
 @given(probes=mixed_batches(), on_error=st.sampled_from(["fallback", "nan"]))
 def test_v3_equals_v2_equals_in_process(shared, probes, on_error):
-    service, peers = shared
+    service, peer = shared
     local_traces = []
     local = service.estimate_batch(probes, on_error=on_error, trace=local_traces.append)
     expected = [trace_key(t) for t in local_traces]
-    for version, peer in peers.items():
-        estimates, traces = peer.batch(probes, on_error=on_error)
-        assert estimates.tobytes() == local.tobytes(), f"v{version}"
-        assert [trace_key(t) for t in traces] == expected, f"v{version}"
+    for form in ("probes", "columns"):
+        estimates, traces = peer.batch(probes, on_error=on_error, form=form)
+        assert estimates.tobytes() == local.tobytes(), form
+        assert [trace_key(t) for t in traces] == expected, form
 
 
 def assert_same_columns(left, right):
@@ -340,7 +348,7 @@ def test_typed_columns_only_for_plain_numbers():
 
 
 # ---------------------------------------------------------------------------
-# The 10k mixed batch, three ways, at v3, under every on_error policy
+# The 10k mixed batch, three ways, under every on_error policy
 # ---------------------------------------------------------------------------
 
 
@@ -361,12 +369,10 @@ class TestTenThousandAtV3:
 
             def sync_run(traces):
                 with EstimationClient(host, port) as client:
-                    assert client.wire_version == 3
                     return client.estimate_batch(probes, on_error=on_error, trace=traces.append)
 
             async def async_run(traces):
                 async with AsyncEstimationClient(host, port) as client:
-                    assert client.wire_version == 3
                     return await client.estimate_batch(
                         probes, on_error=on_error, trace=traces.append
                     )
@@ -433,7 +439,7 @@ class TestPoisonedColumns:
         assert wire["value"]["dtype"] == "tagged"  # mixed int/str equality column
         poison(wire)
         with serve_in_thread(service) as handle:
-            peer = RawPeer(handle.address, 3)
+            peer = RawPeer(handle.address)
             try:
                 frames = peer.raw_batch(
                     protocol.columns_request(wire, request_id=5, want_traces=True)
@@ -470,7 +476,7 @@ class TestPoisonedColumns:
         wire = protocol.probes_to_columns(GOOD)
         damage(wire)
         with serve_in_thread(service) as handle:
-            peer = RawPeer(handle.address, 3)
+            peer = RawPeer(handle.address)
             try:
                 frames = peer.raw_batch(protocol.columns_request(wire, request_id=9))
                 assert [(f["op"], f.get("code"), f.get("id")) for f in frames] == [
@@ -482,38 +488,20 @@ class TestPoisonedColumns:
                 peer.close()
         assert estimates.tobytes() == service.estimate_batch(GOOD).tobytes()
 
-    @pytest.mark.parametrize("version", [1, 2])
-    def test_columns_below_v3_are_refused(self, service, version):
-        body = protocol.batch_request([], request_id=3, version=version)
-        del body["probes"]
-        body["columns"] = protocol.probes_to_columns(GOOD)
-        with serve_in_thread(service) as handle:
-            peer = RawPeer(handle.address, version)
-            try:
-                frames = peer.raw_batch(body)
-            finally:
-                peer.close()
-        assert frames[0]["code"] == "protocol-error"
-        assert "v3" in frames[0]["detail"]
-
     def test_probes_and_columns_together_are_refused(self, service):
         body = protocol.columns_request(protocol.probes_to_columns(GOOD), request_id=4)
         body["probes"] = protocol.probes_to_wire(GOOD)
         with serve_in_thread(service) as handle:
-            peer = RawPeer(handle.address, 3)
+            peer = RawPeer(handle.address)
             try:
                 frames = peer.raw_batch(body)
             finally:
                 peer.close()
         assert frames[0]["code"] == "protocol-error"
 
-    def test_columns_request_refuses_old_versions(self):
-        with pytest.raises(WireCodecError):
-            protocol.columns_request({}, request_id=1, version=2)
-
 
 # ---------------------------------------------------------------------------
-# Admission: masks equal the per-entry loop; v2 and v3 verdicts agree
+# Admission: masks equal the per-entry loop; row and column verdicts agree
 # ---------------------------------------------------------------------------
 
 
@@ -568,21 +556,21 @@ class TestAdmissionParity:
         _poke(columns, "rel", 2, 99)
         results = {}
         with serve_in_thread(service, tenants=tenants) as handle:
-            for version, request in (
-                (2, protocol.batch_request(rows, request_id=1, want_traces=True, version=2)),
-                (3, protocol.columns_request(columns, request_id=1, want_traces=True)),
+            for form, request in (
+                ("probes", protocol.batch_request(rows, request_id=1, want_traces=True)),
+                ("columns", protocol.columns_request(columns, request_id=1, want_traces=True)),
             ):
-                peer = RawPeer(handle.address, version, token="tok")
+                peer = RawPeer(handle.address, token="tok")
                 try:
                     frames = peer.raw_batch(request)
                 finally:
                     peer.close()
-                results[version] = (
+                results[form] = (
                     chunk_estimates(frames).tobytes(),
                     [trace_key(t) for t in chunk_traces(frames)],
                 )
-        assert results[2] == results[3]
-        verdicts = {key[0]: key[4] for key in results[3][1]}
+        assert results["probes"] == results["columns"]
+        verdicts = {key[0]: key[4] for key in results["columns"][1]}
         assert verdicts == {
             2: protocol.REASON_WIRE_DECODE,
             **{position: REASON_BACKPRESSURE for position in (6, 7, 8)},
@@ -599,7 +587,7 @@ def test_http_shim_answers_columns_like_probes(service):
     probes = mixed_probes(64)
     bodies = {
         "probes": protocol.batch_request(
-            protocol.probes_to_wire(probes), request_id=1, want_traces=True, version=2
+            protocol.probes_to_wire(probes), request_id=1, want_traces=True
         ),
         "columns": protocol.columns_request(
             protocol.probes_to_columns(probes), request_id=1, want_traces=True
@@ -618,7 +606,7 @@ def test_http_shim_answers_columns_like_probes(service):
         conn = http.client.HTTPConnection(*handle.address, timeout=10)
         conn.request("POST", "/v1/batch", body=json.dumps(bad))
         assert conn.getresponse().status == 400
-    assert payloads["probes"]["v"] == 2 and payloads["columns"]["v"] == 3
+    assert payloads["probes"]["v"] == payloads["columns"]["v"] == protocol.WIRE_SCHEMA_VERSION
     assert payloads["probes"]["estimates"] == payloads["columns"]["estimates"]
     assert payloads["probes"]["traces"] == payloads["columns"]["traces"]
     local = service.estimate_batch(probes)

@@ -348,6 +348,28 @@ class TestWireArtifacts:
         assert "answered 1 probes" in capsys.readouterr().out
 
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"v": 2, "op": "batch", "probes": []}',  # a retired schema version
+            '{"v": 3, "op": "batch", "probes": [{"kind": "mystery"}]}',
+            '{"v": 3, "op": "batch", "probes": [',  # truncated JSON
+        ],
+    )
+    def test_unreplayable_artifact_exits_2(self, capsys, tmp_path, text):
+        artifact = tmp_path / "batch.json"
+        artifact.write_text(text)
+        assert main(self.SMALL + ["--probes-from", str(artifact)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"repro serve-stats: cannot replay {artifact}: ")
+        assert captured.err.count("\n") == 1
+
+    def test_missing_artifact_exits_4(self, capsys, tmp_path):
+        assert main(self.SMALL + ["--probes-from", str(tmp_path / "absent.json")]) == 4
+        assert capsys.readouterr().err.startswith("repro serve-stats: I/O error: ")
+
+
 class TestServeCommand:
     def test_serves_and_answers_over_loopback(self, capsys):
         import threading
