@@ -67,22 +67,6 @@ def end_biased_histogram(
     return Histogram.from_sorted_sizes(freqs, sizes, kind="end-biased", values=values)
 
 
-def _middle_sse(
-    sorted_desc: np.ndarray,
-    prefix_sum: np.ndarray,
-    prefix_sq: np.ndarray,
-    high: int,
-    low: int,
-) -> float:
-    """SSE of the multivalued bucket left after removing extremes."""
-    start = high
-    stop = sorted_desc.size - low
-    count = stop - start
-    seg_sum = prefix_sum[stop] - prefix_sum[start]
-    seg_sq = prefix_sq[stop] - prefix_sq[start]
-    return seg_sq - seg_sum * seg_sum / count
-
-
 def v_opt_bias_hist(
     frequencies: FrequencyLike, buckets: int, values: Optional[Sequence] = None
 ) -> Histogram:

@@ -46,11 +46,6 @@ def _compiled(histogram: Histogram) -> "CompiledHistogram":
     return compile_histogram(histogram)
 
 
-def _value_approximations(histogram: Histogram) -> dict[Hashable, float]:
-    """Map each domain value to its bucket-average approximation."""
-    return _compiled(histogram).as_mapping()
-
-
 # ----------------------------------------------------------------------
 # Canonical surface
 # ----------------------------------------------------------------------

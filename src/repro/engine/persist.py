@@ -529,13 +529,6 @@ class RecoveryReport:
             and self.journal_anomalies == 0
         )
 
-    @property
-    def quarantined_relations(self) -> frozenset:
-        """Names of relations with at least one quarantined entry."""
-        return frozenset(
-            q.relation for q in self.quarantined if q.relation is not None
-        )
-
     def summary(self) -> str:
         """A human-readable multi-line rendering for CLIs."""
         lines = [

@@ -8,8 +8,7 @@ package is that boundary:
 
 * :mod:`repro.net.protocol` — the **wire schema**, one version
   (``WIRE_SCHEMA_VERSION``; any other tag is refused): every probe
-  shape, trace record, and recovery report gains ``to_wire`` /
-  ``from_wire`` codecs, NaN/±inf rejection at encode time, and tagged
+  shape and trace record gains ``to_wire`` / ``from_wire`` codecs, NaN/±inf rejection at encode time, and tagged
   value encoding so non-numeric (and mixed) domains round-trip exactly.
   Batches travel as typed columns and result vectors as raw float64
   bytes, so an answer served over the wire is **bit-identical** to the
@@ -61,8 +60,6 @@ from repro.net.protocol import (
     probes_from_wire,
     probes_to_columns,
     probes_to_wire,
-    recovery_report_from_wire,
-    recovery_report_to_wire,
     trace_context_from_wire,
     trace_context_to_wire,
     trace_from_wire,
@@ -114,8 +111,6 @@ __all__ = [
     "probes_from_wire",
     "probes_to_columns",
     "probes_to_wire",
-    "recovery_report_from_wire",
-    "recovery_report_to_wire",
     "serve_in_thread",
     "trace_context_from_wire",
     "trace_context_to_wire",

@@ -21,6 +21,7 @@ or as an async context manager::
 from __future__ import annotations
 
 import asyncio
+import contextlib
 from typing import AsyncIterator, Callable, Optional, Sequence
 
 import numpy as np
@@ -80,6 +81,8 @@ class AsyncEstimationClient:
         self.tenant: Optional[str] = None
         self._reader: Optional[asyncio.StreamReader] = None
         self._writer: Optional[asyncio.StreamWriter] = None
+        #: The last batch sent on this connection (see :meth:`_exchange`).
+        self._last_call: Optional[BatchCall] = None
         self._next_id = 1
 
     # -- connection lifecycle ------------------------------------------
@@ -90,7 +93,15 @@ class AsyncEstimationClient:
         return self._writer is not None
 
     async def connect(self) -> "AsyncEstimationClient":
-        """Open the connection and handshake; retried with backoff."""
+        """Open the connection and handshake; retried with backoff.
+
+        A connection whose last batch is not done is replaced by a fresh
+        one.  The event loop closes an abandoned async stream only when
+        it finalizes it, so this check, not the stream's own cleanup,
+        keeps that stream's frames from answering the next request.
+        """
+        if self._last_call is not None and not self._last_call.done:
+            await self._teardown()
         if self._writer is not None:
             return self
         failure: Optional[Exception] = None
@@ -136,6 +147,7 @@ class AsyncEstimationClient:
             raise
 
     async def _teardown(self) -> None:
+        self._last_call = None
         writer, self._reader, self._writer = self._writer, None, None
         if writer is not None:
             writer.close()
@@ -174,6 +186,20 @@ class AsyncEstimationClient:
         except asyncio.IncompleteReadError as exc:
             raise ConnectionFailedError("server closed the connection") from exc
         return protocol.decode_frame(payload)
+
+    @contextlib.asynccontextmanager
+    async def _exchange(self, call: BatchCall) -> AsyncIterator[None]:
+        """Send *call*; on leaving, drop the connection unless it is done.
+
+        The sync flavor's rule, cancellation included.
+        """
+        self._last_call = call
+        try:
+            await self._send(call.request())
+            yield
+        finally:
+            if self._last_call is call and not call.done:
+                await self._teardown()
 
     # -- operations -----------------------------------------------------
 
@@ -222,14 +248,13 @@ class AsyncEstimationClient:
                     trace_context=client_span.context,
                 )
                 try:
-                    await self._send(call.request())
-                    chunks = []
-                    while not call.done:
-                        chunks.append(call.consume(await self._recv_frame()))
+                    async with self._exchange(call):
+                        chunks = []
+                        while not call.done:
+                            chunks.append(call.consume(await self._recv_frame()))
                     return join_chunks(chunks)
                 except (ConnectionFailedError, OSError, asyncio.TimeoutError) as exc:
                     failure = exc
-                    await self._teardown()
                     delay = schedule.next_delay(attempt)
                     if delay is None:
                         break
@@ -250,7 +275,9 @@ class AsyncEstimationClient:
         """Yield ``(start, estimates_slice)`` chunks as they arrive.
 
         No mid-stream retry, matching the sync flavor: once chunks have
-        been yielded the consumer owns partial state.
+        been yielded the consumer owns partial state.  A stream abandoned
+        before its last chunk costs the connection; the next call
+        reconnects.
         """
         await self.connect()
         call = BatchCall(
@@ -262,14 +289,10 @@ class AsyncEstimationClient:
             # but the stream joins the surrounding trace when one exists.
             trace_context=tracing.current_trace_context(),
         )
-        try:
-            await self._send(call.request())
+        async with self._exchange(call):
             while not call.done:
                 frame = await self._recv_frame()
                 yield int(frame.get("start", 0)), call.consume(frame)
-        except (ConnectionFailedError, OSError, asyncio.TimeoutError):
-            await self._teardown()
-            raise
 
     def _take_id(self) -> int:
         request_id = self._next_id

@@ -32,11 +32,15 @@ of retries into an unbounded stall.  Typed failures:
 :class:`AuthenticationError` (bad token — not retried),
 :class:`RemoteBatchError` (the server answered with a per-batch error,
 e.g. ``on_error="raise"`` propagating — not retried),
-:class:`ConnectionFailedError` (retries exhausted).
+:class:`ConnectionFailedError` (retries exhausted).  A batch that stops
+before its last frame for any other reason (a :class:`ProtocolError`,
+cancellation, an abandoned stream) drops the connection, so its unread
+frames never answer a later batch; the next call reconnects.
 """
 
 from __future__ import annotations
 
+import contextlib
 import socket
 import time
 from typing import Callable, Iterator, Optional, Sequence
@@ -90,12 +94,6 @@ class RemoteBatchError(ClientError):
         self.code = code
         self.detail = detail
         self.error_type = error_type
-
-
-def backoff_delays(retries: int, base: float) -> Iterator[float]:
-    """The delay before each retry attempt: ``base * 2**k``."""
-    for attempt in range(retries):
-        yield base * (2.0**attempt)
 
 
 class RetrySchedule:
@@ -222,7 +220,8 @@ class BatchCall:
         self._request_id = request_id
         self._trace = trace
         self._received = 0
-        #: True once the eof chunk has been consumed.
+        #: True once the response's last frame — the eof chunk, or an
+        #: error frame — has been consumed: the stream is then in step.
         self.done = False
 
     def request(self) -> dict:
@@ -231,9 +230,13 @@ class BatchCall:
 
     def consume(self, frame: dict) -> np.ndarray:
         """Absorb one response frame; returns its decoded estimate slice."""
-        protocol.check_version(frame)
+        try:
+            protocol.check_version(frame)
+        except protocol.WireVersionError as exc:
+            raise ProtocolError(f"bad response frame: {exc}") from exc
         op = frame.get("op")
         if op == "error":
+            self.done = True
             raise RemoteBatchError(
                 code=str(frame.get("code", "error")),
                 detail=str(frame.get("detail", "")),
@@ -315,6 +318,8 @@ class EstimationClient:
         self._decoder = protocol.FrameDecoder()
         #: Frames received ahead of their reader (pipelined responses).
         self._pending: list[dict] = []
+        #: The last batch sent on this connection (see :meth:`_exchange`).
+        self._last_call: Optional[BatchCall] = None
         self._next_id = 1
 
     # -- connection lifecycle ------------------------------------------
@@ -328,8 +333,11 @@ class EstimationClient:
         """Open the connection and complete the hello handshake.
 
         Idempotent; retried with exponential backoff.  Returns ``self``
-        for chaining.
+        for chaining.  A connection whose last batch is not done (an
+        abandoned stream) is replaced by a fresh one.
         """
+        if self._last_call is not None and not self._last_call.done:
+            self._teardown()
         if self._sock is not None:
             return self
         failure: Optional[Exception] = None
@@ -378,6 +386,7 @@ class EstimationClient:
             raise
 
     def _teardown(self) -> None:
+        self._last_call = None
         if self._sock is not None:
             try:
                 self._sock.close()
@@ -425,6 +434,22 @@ class EstimationClient:
             return self._pending.pop(0)
         return self._recv_frame()
 
+    @contextlib.contextmanager
+    def _exchange(self, call: BatchCall) -> Iterator[None]:
+        """Send *call*; on leaving, drop the connection unless it is done.
+
+        A call that is not done stopped before its last frame: a
+        protocol or codec error, a lost connection, an abandoned stream.
+        Its unread frames would otherwise answer the next request.
+        """
+        self._last_call = call
+        try:
+            self._send(call.request())
+            yield
+        finally:
+            if self._last_call is call and not call.done:
+                self._teardown()
+
     def estimate_batch(
         self,
         probes: Sequence[Probe],
@@ -463,14 +488,13 @@ class EstimationClient:
                     trace_context=client_span.context,
                 )
                 try:
-                    self._send(call.request())
-                    chunks = []
-                    while not call.done:
-                        chunks.append(call.consume(self._next_frames_one()))
+                    with self._exchange(call):
+                        chunks = []
+                        while not call.done:
+                            chunks.append(call.consume(self._next_frames_one()))
                     return join_chunks(chunks)
                 except (ConnectionFailedError, OSError) as exc:
                     failure = exc
-                    self._teardown()
                     delay = schedule.next_delay(attempt)
                     if delay is None:
                         break
@@ -494,7 +518,8 @@ class EstimationClient:
         large to hold comfortably: chunks arrive in order as the server
         produces them.  No mid-stream retry — a connection failure after
         chunks were yielded raises (the consumer has partial state only
-        it can roll back).
+        it can roll back).  A stream abandoned before its last chunk
+        costs the connection; the next call reconnects.
         """
         self.connect()
         call = BatchCall(
@@ -506,14 +531,10 @@ class EstimationClient:
             # here; the stream still joins the caller's trace if any.
             trace_context=tracing.current_trace_context(),
         )
-        try:
-            self._send(call.request())
+        with self._exchange(call):
             while not call.done:
                 frame = self._next_frames_one()
                 yield int(frame.get("start", 0)), call.consume(frame)
-        except (ConnectionFailedError, OSError):
-            self._teardown()
-            raise
 
     def _take_id(self) -> int:
         request_id = self._next_id

@@ -2,9 +2,8 @@
 
 Serialization-first redesign of the probe API: every probe shape
 (:class:`~repro.serve.EqualityProbe`, :class:`~repro.serve.RangeProbe`,
-:class:`~repro.serve.JoinProbe`), the :class:`~repro.serve.ProbeTrace`
-record, and the :class:`~repro.engine.persist.RecoveryReport` summary
-gain ``to_wire`` / ``from_wire`` codecs here.  Both ends of the wire use
+:class:`~repro.serve.JoinProbe`) and the :class:`~repro.serve.ProbeTrace`
+record gain ``to_wire`` / ``from_wire`` codecs here.  Both ends of the wire use
 *these exact functions*, so an in-process answer and an over-the-wire
 answer are built from identical probe objects — the foundation of the
 bit-identity guarantee in ``docs/NETWORK.md``.
@@ -54,7 +53,6 @@ from typing import Any, Iterable, Optional, Sequence
 
 import numpy as np
 
-from repro.engine.persist import QuarantinedEntry, RecoveryReport
 from repro.obs.tracing import TraceContext
 from repro.serve.frame import (
     KIND_EQUALITY,
@@ -338,83 +336,6 @@ def trace_from_wire(wire: Any) -> ProbeTrace:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise WireCodecError(f"malformed wire trace {wire!r}") from exc
-
-
-def recovery_report_to_wire(report: RecoveryReport) -> dict:
-    """Summary wire form of a crash-recovery report.
-
-    Carries everything :meth:`EstimationService.apply_recovery` consumes
-    (the quarantine list and journal-replay counters) plus the health
-    flags — **not** the recovered catalog itself, which stays with the
-    process that owns the statistics directory.  This is how a serving
-    node tells its peers (or an operator console) what recovery withheld.
-    """
-    if not isinstance(report, RecoveryReport):
-        raise WireCodecError(
-            f"expected a RecoveryReport, got {type(report).__name__}"
-        )
-    return {
-        "v": WIRE_SCHEMA_VERSION,
-        "snapshot_path": report.snapshot_path,
-        "snapshot_found": report.snapshot_found,
-        "snapshot_ok": report.snapshot_ok,
-        "entries_loaded": report.entries_loaded,
-        "quarantined": [
-            {
-                "relation": item.relation,
-                "attribute": item.attribute,
-                "reason": item.reason,
-            }
-            for item in report.quarantined
-        ],
-        "journal_path": report.journal_path,
-        "journal_torn": report.journal_torn,
-        "journal_replayed": report.journal_replayed,
-        "journal_fenced": report.journal_fenced,
-        "journal_orphaned": report.journal_orphaned,
-        "journal_anomalies": report.journal_anomalies,
-    }
-
-
-def recovery_report_from_wire(wire: Any) -> RecoveryReport:
-    """Rebuild a summary :class:`RecoveryReport` from its wire form.
-
-    The attached catalog is a fresh empty :class:`StatsCatalog` — the
-    wire form is a *summary*; feed the report to ``apply_recovery`` (which
-    only reads the quarantine list and counters), not to serving.
-    """
-    from repro.engine.catalog import StatsCatalog
-
-    if not isinstance(wire, dict):
-        raise WireCodecError(f"malformed wire recovery report {wire!r}")
-    check_version(wire)
-    try:
-        quarantined = [
-            QuarantinedEntry(
-                relation=item.get("relation"),
-                attribute=item.get("attribute"),
-                reason=str(item.get("reason", "unknown")),
-            )
-            for item in wire.get("quarantined", [])
-        ]
-        return RecoveryReport(
-            catalog=StatsCatalog(),
-            snapshot_path=str(wire["snapshot_path"]),
-            snapshot_found=bool(wire.get("snapshot_found", True)),
-            snapshot_ok=bool(wire.get("snapshot_ok", True)),
-            entries_loaded=int(wire.get("entries_loaded", 0)),
-            quarantined=quarantined,
-            journal_path=wire.get("journal_path"),
-            journal_torn=bool(wire.get("journal_torn", False)),
-            journal_replayed=int(wire.get("journal_replayed", 0)),
-            journal_fenced=int(wire.get("journal_fenced", 0)),
-            journal_orphaned=int(wire.get("journal_orphaned", 0)),
-            journal_anomalies=int(wire.get("journal_anomalies", 0)),
-        )
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise WireCodecError(
-            f"malformed wire recovery report {wire!r}"
-        ) from exc
 
 
 # ---------------------------------------------------------------------------

@@ -18,15 +18,16 @@ One :class:`EstimationServer` wraps one in-process
   and a backpressure bound (probes in flight across the tenant's
   connections) reject *probes*, not connections: refused probes resolve
   through the service's ``on_error`` policy with the typed reasons
-  ``REASON_QUOTA_EXCEEDED`` / ``REASON_BACKPRESSURE`` via the
-  ``admission=`` hook, exactly like today's unanswerable probes.  A
-  malformed probe entry degrades alone (``REASON_WIRE_DECODE``); the
-  rest of its batch is answered.
+  ``REASON_QUOTA_EXCEEDED`` / ``REASON_BACKPRESSURE``, handed to
+  ``estimate_batch(admission=)`` as one verdict column, exactly like
+  unanswerable probes.  A malformed probe entry degrades alone
+  (``REASON_WIRE_DECODE``); the rest of its batch is answered.
 * **Columnar decode** — a ``columns`` batch becomes a
   :class:`~repro.serve.ProbeFrame` straight from its arrays
   (:meth:`~repro.serve.ProbeFrame.from_columns`), with admission
-  verdicts computed as masks; the service settles the rejected
-  positions inside their groups, so no probe object is built.
+  verdicts written into an object column from masks; the service
+  settles the rejected positions inside their groups, so no probe
+  object is built.
 * **Instrumented** — ``net.accept`` / ``net.batch`` / ``net.decode`` /
   ``net.stream`` spans, and per-tenant labeled counters in the default
   metric registry (``repro_net_batches_total{tenant=...}`` and friends).
@@ -162,9 +163,9 @@ class _DecodedBatch:
 
     #: The decoded row-form probes, or the frame built from columns.
     probes: Union[list[Probe], ProbeFrame]
-    #: Aligned rejection reasons (``None`` = admitted), or ``None`` when
-    #: every probe was admitted.  Decode failures are pre-marked here.
-    verdicts: Optional[list[Optional[str]]]
+    #: One rejection reason per position (``None`` = admitted), as an
+    #: object column.  Decode failures are marked here too.
+    verdicts: np.ndarray
     #: Probes admitted (counted against the tenant's pending bound).
     admitted: int
 
@@ -594,34 +595,30 @@ class EstimationServer:
         failed: np.ndarray,
         tenant: _TenantState,
     ) -> _DecodedBatch:
-        """Quota and backpressure verdicts for a decoded batch, as masks.
+        """The batch's verdict column, written from decode, quota and
+        backpressure masks.
 
         Position order decides: the tail past ``max_probes_per_batch`` is
         over quota, and of the rest, the entries beyond the tenant's free
         ``max_pending_probes`` room are backpressured.
         """
         limits = tenant.config
-        rejections = [(failed, protocol.REASON_WIRE_DECODE)]
+        verdicts = np.empty(failed.size, dtype=object)
+        verdicts[failed] = protocol.REASON_WIRE_DECODE
         admitted = ~failed
         if limits.max_probes_per_batch:
             quota = admitted.copy()
             quota[: limits.max_probes_per_batch] = False
             admitted &= ~quota
-            rejections.append((quota, REASON_QUOTA_EXCEEDED))
+            verdicts[quota] = REASON_QUOTA_EXCEEDED
         if limits.max_pending_probes:
             room = max(limits.max_pending_probes - tenant.pending_probes, 0)
             pressed = admitted & (np.cumsum(admitted, dtype=np.int64) > room)
             admitted &= ~pressed
-            rejections.append((pressed, REASON_BACKPRESSURE))
+            verdicts[pressed] = REASON_BACKPRESSURE
         count = int(np.count_nonzero(admitted))
         if limits.max_pending_probes:
             tenant.pending_probes += count
-        if count == admitted.size:
-            return _DecodedBatch(probes, None, count)
-        verdicts: list[Optional[str]] = [None] * admitted.size
-        for mask, reason in rejections:
-            for position in np.nonzero(mask)[0].tolist():
-                verdicts[position] = reason
         return _DecodedBatch(probes, verdicts, count)
 
     def _release_pending(self, batch: _DecodedBatch, tenant: _TenantState) -> None:
@@ -669,14 +666,13 @@ class EstimationServer:
         """
         # Trace records are built only for a request that asked for them.
         traces: Optional[list[ProbeTrace]] = [] if want_traces else None
-        verdicts = batch.verdicts
         token = tracing.attach(context) if context is not None else None
         try:
             estimates = self.service.estimate_batch(
                 batch.probes,
                 on_error=on_error,
                 trace=None if traces is None else traces.append,
-                admission=None if verdicts is None else lambda probes: verdicts,
+                admission=batch.verdicts if batch.rejected else None,
             )
         finally:
             if context is not None:
@@ -831,16 +827,8 @@ class EstimationServer:
                     frame["traces"] = [
                         protocol.trace_to_wire(trace)
                         for trace in traces
-                        if trace.position is not None and start <= trace.position < end
+                        if start <= trace.position < end
                     ]
-                    # Position-less traces (scalar paths never produce
-                    # them here, but be safe) ride the first chunk.
-                    if start == 0:
-                        frame["traces"].extend(
-                            protocol.trace_to_wire(trace)
-                            for trace in traces
-                            if trace.position is None
-                        )
                 await self._send_frame(writer, frame)
                 if end >= total:
                     return

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from typing import Any, Iterable, Optional
+from typing import Any, Optional
 
 from repro.obs import tracing
 from repro.obs.registry import MetricRegistry, Sample
@@ -296,14 +296,6 @@ class AccuracyMonitor:
     def bind(self, registry: MetricRegistry) -> None:
         """Register this monitor's samples with *registry* (weakly)."""
         registry.register_collector(AccuracyMonitor.collect, owner=self)
-
-
-def iter_samples(monitors: Iterable[AccuracyMonitor]) -> list[Sample]:
-    """Concatenate :meth:`AccuracyMonitor.collect` over *monitors*."""
-    samples: list[Sample] = []
-    for monitor in monitors:
-        samples.extend(monitor.collect())
-    return samples
 
 
 def _default_monitor_holder() -> dict[str, Any]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Hashable, Optional
 
-from repro.engine.catalog import CatalogEntry, StatsCatalog
+from repro.engine.catalog import StatsCatalog
 from repro.serve.service import (
     DEFAULT_EQ_SELECTIVITY,
     DEFAULT_RANGE_SELECTIVITY,
@@ -100,15 +100,6 @@ class CardinalityEstimator:
         return self._service.estimate_join(
             left_relation, left_attribute, right_relation, right_attribute
         )
-
-    def join_from_entries(self, left: CatalogEntry, right: CatalogEntry) -> float:
-        """Join estimate from two catalog entries (see the service docstring).
-
-        Preference order: full value-aware histograms (Theorem 2.1 on the
-        compiled tables), then compact end-biased statistics under the
-        containment assumption, then the System R uniform estimate.
-        """
-        return self._service.join_entries(left, right)
 
     def join_selectivity(
         self,

@@ -10,12 +10,10 @@ tree query, so estimated and true plan rankings can be compared.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterator
 
 from repro.optimizer.cardinality import CardinalityEstimator
 from repro.optimizer.joinorder import JoinGraph
 from repro.optimizer.plans import JoinPlan, Plan, ScanPlan
-from repro.util.validation import ensure_positive_int
 
 #: Safety cap: plan counts explode combinatorially with relations.
 MAX_RELATIONS_FOR_ENUMERATION = 6
@@ -105,18 +103,3 @@ def enumerate_plans(
     if full not in plans:
         raise RuntimeError("no connected plan covers all relations")
     return plans[full]
-
-
-def count_plans(num_relations: int) -> int:
-    """Number of unordered bushy trees over a *chain* of that many relations.
-
-    Useful for sanity checks in tests; chains admit
-    ``C(2(n−1), n−1) / n`` (Catalan) shapes before symmetry pruning — the
-    enumeration above collapses left/right mirror images, so tests compare
-    against explicitly constructed small cases instead of this closed form.
-    """
-    ensure_positive_int(num_relations, "num_relations")
-    from math import comb
-
-    n = num_relations - 1
-    return comb(2 * n, n) // (n + 1)

@@ -25,7 +25,6 @@ from repro.serve.service import (
     REASON_QUARANTINED,
     REASON_QUOTA_EXCEEDED,
     REASON_REBUILD_IN_PROGRESS,
-    AdmissionHook,
     EqualityProbe,
     EstimationService,
     JoinProbe,
@@ -52,7 +51,6 @@ __all__ = [
     "REASON_QUARANTINED",
     "REASON_QUOTA_EXCEEDED",
     "REASON_REBUILD_IN_PROGRESS",
-    "AdmissionHook",
     "CompiledCompact",
     "CompiledHistogram",
     "EqualityProbe",

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Optional, Sequence, Union
 
@@ -171,13 +170,6 @@ def _flag_column(flags: list) -> np.ndarray:
     return np.fromiter(map(bool, flags), dtype=bool, count=len(flags))
 
 
-def _entry(column: ValueColumn, index: int) -> object:
-    """One column entry as the Python value a probe would hold."""
-    if isinstance(column, np.ndarray):
-        return column[index].item()
-    return column[index]
-
-
 @dataclass(frozen=True, eq=False)
 class ProbeColumns:
     """A probe batch as typed columns, in batch order.
@@ -262,58 +254,6 @@ class ProbeColumns:
             include_high,
             right_rel,
             right_attr,
-        )
-
-
-class _ColumnProbes(SequenceABC):
-    """The probes of a column-built frame, rebuilt one at a time on demand.
-
-    Read only as the argument of an ``admission=`` hook: the service
-    answers, rejects and traces a frame from its groups alone, so a
-    frame built from columns allocates a probe only for the positions
-    such a hook itself reads.
-    """
-
-    def __init__(self, columns: ProbeColumns):
-        self._columns = columns
-        self._offsets: Optional[np.ndarray] = None
-
-    def __len__(self) -> int:
-        return len(self._columns)
-
-    def __getitem__(self, position: Union[int, slice]) -> Union[Probe, list]:
-        if isinstance(position, slice):
-            return [self[i] for i in range(*position.indices(len(self)))]
-        position = range(len(self))[position]
-        columns = self._columns
-        if self._offsets is None:
-            # Each position's index within its kind's columns.
-            offsets = np.zeros(len(columns), dtype=np.intp)
-            for kind in range(_KIND_COUNT):
-                mask = columns.kinds == kind
-                offsets[mask] = np.arange(np.count_nonzero(mask), dtype=np.intp)
-            self._offsets = offsets
-        offset = int(self._offsets[position])
-        names = columns.names
-        kind = int(columns.kinds[position])
-        relation = names[int(columns.rel[position])]
-        attribute = names[int(columns.attr[position])]
-        if kind == KIND_EQUALITY:
-            return EqualityProbe(relation, attribute, _entry(columns.values, offset))
-        if kind == KIND_RANGE:
-            return RangeProbe(
-                relation,
-                attribute,
-                _entry(columns.lows, offset),
-                _entry(columns.highs, offset),
-                include_low=bool(columns.include_low[offset]),
-                include_high=bool(columns.include_high[offset]),
-            )
-        return JoinProbe(
-            relation,
-            attribute,
-            names[int(columns.right_rel[offset])],
-            names[int(columns.right_attr[offset])],
         )
 
 
@@ -607,26 +547,25 @@ class ProbeFrame:
 
     Construction groups the batch's columns exactly once; answering a
     frame is then pure per-group array work, and the same frame can be
-    answered repeatedly (each call returns a fresh result vector).
-    ``probes`` is the batch as a probe sequence, handed to an admission
-    hook: the caller's own list for :meth:`from_probes`, rebuilt on
-    demand for :meth:`from_columns`.
+    answered repeatedly (each call returns a fresh result vector).  A
+    frame holds its groups and the batch length only, never the probe
+    objects: every position is reached through some group's
+    ``positions``.
     """
 
-    __slots__ = ("probes", "equality_groups", "range_groups", "join_groups", "_length")
+    __slots__ = ("equality_groups", "range_groups", "join_groups", "_length")
 
     def __init__(
         self,
-        probes: Sequence[Probe],
+        length: int,
         equality_groups: list[EqualityGroup],
         range_groups: list[RangeGroup],
         join_groups: list[JoinGroup],
     ):
-        self.probes = probes
         self.equality_groups = equality_groups
         self.range_groups = range_groups
         self.join_groups = join_groups
-        self._length = len(probes)
+        self._length = length
 
     def __len__(self) -> int:
         return self._length
@@ -648,8 +587,7 @@ class ProbeFrame:
         :meth:`from_columns` does.  Raises ``TypeError`` for any element
         that is not an ``EqualityProbe``, ``RangeProbe``, or ``JoinProbe``.
         """
-        probe_list = probes if isinstance(probes, list) else list(probes)
-        return cls._grouped(ProbeColumns.from_probes(probe_list), probe_list)
+        return cls.from_columns(ProbeColumns.from_probes(probes))
 
     @classmethod
     def from_columns(cls, columns: ProbeColumns) -> "ProbeFrame":
@@ -659,10 +597,6 @@ class ProbeFrame:
         :func:`~repro.net.protocol.columns_from_wire` build them (the
         wire decoder is where outside input is checked).
         """
-        return cls._grouped(columns, _ColumnProbes(columns))
-
-    @classmethod
-    def _grouped(cls, columns: ProbeColumns, probes: Sequence[Probe]) -> "ProbeFrame":
         kinds = columns.kinds
         n = kinds.size
         names = columns.names
@@ -695,4 +629,4 @@ class ProbeFrame:
                 groups[kind] = _group_joins(
                     names, rel, attr, columns.right_rel, columns.right_attr, positions
                 )
-        return cls(probes, *groups)
+        return cls(n, *groups)

@@ -88,7 +88,7 @@ class ServiceMetrics:
         #: ``"unknown-relation"``, ``"unorderable-domain"``).
         self.degradation_reasons: dict[str, int] = {}
         #: Probes refused by admission control (quota/backpressure via the
-        #: ``admission=`` hook of ``estimate_batch``) — a subset of
+        #: ``admission=`` verdicts of ``estimate_batch``) — a subset of
         #: ``degraded_probes``, counted separately so operators can tell
         #: "tenant over quota" from "statistics missing" at a glance.
         self.rejected_probes = 0

@@ -28,9 +28,9 @@ A probe that cannot be answered first-class never aborts the rest of its
 batch.  Every probe kind walks the same ladder, one (relation, attribute)
 group at a time, and the first rung that applies decides its answer:
 
-1. **admission** — the ``admission=`` hook of ``estimate_batch`` refused
-   the probe (the hook's reason, e.g. ``"quota-exceeded"`` or
-   ``"backpressure"``);
+1. **admission** — the ``admission=`` verdicts of ``estimate_batch``
+   refused the probe (its verdict is the reason, e.g.
+   ``"quota-exceeded"`` or ``"backpressure"``);
 2. **quarantine** — crash recovery withheld the statistics (fed in
    through :meth:`EstimationService.apply_recovery` from a
    :class:`~repro.engine.persist.RecoveryReport`):
@@ -204,17 +204,6 @@ class ProbeTrace:
 
 #: Signature of the ``trace=`` hook.
 TraceHook = Callable[[ProbeTrace], None]
-
-#: Signature of the ``admission=`` hook accepted by
-#: :meth:`EstimationService.estimate_batch`.  Called once per batch with
-#: the probe sequence; returns ``None`` to admit everything, or a
-#: sequence aligned with the probes where each non-``None`` entry is a
-#: rejection reason string (e.g. :data:`REASON_QUOTA_EXCEEDED`).
-#: Rejected probes resolve through the ``on_error`` policy exactly like
-#: unanswerable probes (admission is the first rung of every group's
-#: ladder) — per-probe degradation, never a dropped batch.
-AdmissionHook = Callable[[Sequence["Probe"]], Optional[Sequence[Optional[str]]]]
-
 
 @dataclass(frozen=True)
 class _Degradation:
@@ -1238,7 +1227,7 @@ class EstimationService:
         *,
         on_error: Optional[str] = None,
         trace: Optional[TraceHook] = None,
-        admission: Optional[AdmissionHook] = None,
+        admission: Optional[Sequence[Optional[str]]] = None,
     ) -> np.ndarray:
         """Answer a heterogeneous batch of probes in one pass.
 
@@ -1263,12 +1252,15 @@ class EstimationService:
         (kind, group) and per (group, reason), never per probe.
 
         ``admission=`` plugs quota/backpressure control into the same
-        ladder as its first rung: the hook sees the whole batch up front
-        and names a rejection reason per refused probe (see
-        :data:`AdmissionHook`); each group resolves its refused members
-        through the ``on_error`` policy, once per reason, and counts them
-        in ``ServiceMetrics.rejected_probes`` — the network server's
-        per-tenant quotas ride this hook.
+        ladder as its first rung.  It takes the verdicts themselves: a
+        sequence aligned with the batch (a list, or an object array)
+        holding ``None`` for an admitted position and a rejection reason
+        string (e.g. :data:`REASON_QUOTA_EXCEEDED`) for a refused one;
+        ``None`` admits everything.  Each group resolves its refused
+        members through the ``on_error`` policy, once per reason, and
+        counts them in ``ServiceMetrics.rejected_probes`` — the network
+        server's per-tenant quotas arrive this way.  A misaligned
+        sequence raises ``ValueError``, a callable ``TypeError``.
         """
         policy = self._resolve_policy(on_error)
         try:
@@ -1287,21 +1279,23 @@ class EstimationService:
         return out
 
     def _verdicts(
-        self, frame: ProbeFrame, admission: Optional[AdmissionHook]
+        self, frame: ProbeFrame, admission: Optional[Sequence[Optional[str]]]
     ) -> Optional[np.ndarray]:
-        """The hook's verdicts as one object array; ``None`` admits all."""
+        """The verdicts as one object column; ``None`` admits all."""
         if admission is None:
             return None
-        verdicts = admission(frame.probes)
-        if verdicts is None:
-            return None
-        if len(verdicts) != len(frame):
+        if callable(admission):
+            raise TypeError(
+                "admission= takes the verdicts aligned with the batch, "
+                "not a callable"
+            )
+        if len(admission) != len(frame):
             raise ValueError(
-                f"admission hook returned {len(verdicts)} verdicts for "
+                f"admission holds {len(admission)} verdicts for "
                 f"{len(frame)} probes; they must align"
             )
         column = np.empty(len(frame), dtype=object)
-        column[:] = verdicts
+        column[:] = admission
         return column if np.not_equal(column, None).any() else None
 
     def _admit(
@@ -1355,16 +1349,15 @@ class EstimationService:
         frame: ProbeFrame,
         policy: str,
         trace: Optional[TraceHook],
-        admission: Optional[AdmissionHook] = None,
+        admission: Optional[Sequence[Optional[str]]] = None,
     ) -> np.ndarray:
         """Answer a pre-grouped frame: one vectorized sweep per group.
 
         The hot path never touches individual probes — groups carry
         contiguous position/value arrays built by :class:`ProbeFrame`,
         each is answered by one batch table call, and the answers are
-        scattered back by position.  ``frame.probes`` is read only to
-        call the admission hook; each group settles its refused members
-        first and answers the rest.
+        scattered back by position.  Each group settles its refused
+        members first and answers the rest.
         """
         out = np.zeros(len(frame), dtype=np.float64)
         verdicts = self._verdicts(frame, admission)

@@ -654,11 +654,6 @@ class CompiledCompact:
         )
 
     @property
-    def explicit_count(self) -> int:
-        """Number of explicitly stored values."""
-        return len(self._explicit)
-
-    @property
     def is_numeric(self) -> bool:
         """True when probes go through the vectorized float64 fast path."""
         return self._numeric

@@ -331,11 +331,6 @@ def uninstall() -> None:
             threading.RLock = _orig_rlock  # type: ignore[assignment]
 
 
-def is_installed() -> bool:
-    """Whether sanitized factories are currently patched in."""
-    return _installed > 0
-
-
 def reset() -> None:
     """Drop all findings, counters, and learned ordering edges."""
     with _state_lock:

@@ -10,8 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.catalog import StatsCatalog
-from repro.engine.persist import QuarantinedEntry, RecoveryReport
 from repro.net import protocol
 from repro.net.protocol import (
     FrameDecoder,
@@ -27,8 +25,6 @@ from repro.net.protocol import (
     probe_to_wire,
     probes_from_wire,
     probes_to_wire,
-    recovery_report_from_wire,
-    recovery_report_to_wire,
     trace_from_wire,
     trace_to_wire,
 )
@@ -192,44 +188,6 @@ class TestTraceCodec:
             degraded=degraded,
             position=position,
         )
-
-
-class TestRecoveryReportCodec:
-    def test_round_trip_summary(self):
-        report = RecoveryReport(
-            catalog=StatsCatalog(),
-            snapshot_path="/tmp/x.snap",
-            snapshot_found=True,
-            snapshot_ok=False,
-            entries_loaded=4,
-            quarantined=[
-                QuarantinedEntry(relation="R", attribute="a", reason="bad-checksum"),
-                QuarantinedEntry(relation="S", attribute=None, reason="torn"),
-            ],
-            journal_path="/tmp/x.wal",
-            journal_torn=True,
-            journal_replayed=3,
-            journal_fenced=1,
-            journal_orphaned=2,
-            journal_anomalies=1,
-        )
-        wire = recovery_report_to_wire(report)
-        json.dumps(wire)
-        decoded = recovery_report_from_wire(wire)
-        assert decoded.snapshot_path == report.snapshot_path
-        assert decoded.snapshot_ok is False
-        assert decoded.quarantined == report.quarantined
-        assert decoded.journal_replayed == 3
-        assert decoded.journal_torn is True
-        assert decoded.clean == report.clean
-
-    def test_version_checked(self):
-        wire = recovery_report_to_wire(
-            RecoveryReport(catalog=StatsCatalog(), snapshot_path="p")
-        )
-        wire["v"] = 999
-        with pytest.raises(WireVersionError):
-            recovery_report_from_wire(wire)
 
 
 class TestEstimatesCodec:

@@ -32,6 +32,7 @@ from repro.net import (
     AuthenticationError,
     ClientError,
     EstimationClient,
+    ProtocolError,
     RemoteBatchError,
     TenantConfig,
     protocol,
@@ -328,6 +329,176 @@ class TestStreaming:
             assert np.concatenate(parts).tobytes() == local.tobytes()
 
 
+class ScriptedServer:
+    """A framed server stub that answers each batch with scripted frames.
+
+    It serves one connection at a time until the client closes it: a
+    ``hello`` gets a welcome, a batch gets ``script(request_id)``.
+    ``connections`` counts the connections accepted.
+    """
+
+    def __init__(self, script):
+        self.script = script
+        self.connections = 0
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self._listener.settimeout(0.05)
+        self.address = self._listener.getsockname()[:2]
+        self._stop = threading.Event()
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def close(self):
+        self._stop.set()
+        self._thread.join(timeout=10.0)
+        assert not self._thread.is_alive()
+        self._listener.close()
+
+    def _serve(self):
+        while not self._stop.is_set():
+            try:
+                conn, _ = self._listener.accept()
+            except socket.timeout:
+                continue
+            self.connections += 1
+            conn.settimeout(0.05)
+            decoder = protocol.FrameDecoder()
+            with conn:
+                while not self._stop.is_set():
+                    try:
+                        data = conn.recv(65536)
+                    except socket.timeout:
+                        continue
+                    except OSError:
+                        break
+                    if not data:
+                        break
+                    for frame in decoder.feed(data):
+                        if frame["op"] == "hello":
+                            replies = [protocol.message("welcome", tenant=None)]
+                        else:
+                            replies = self.script(frame["id"])
+                        for reply in replies:
+                            conn.sendall(protocol.encode_frame(reply))
+
+
+def scripted_chunk(request_id, start, values, eof):
+    return protocol.message(
+        "chunk",
+        id=request_id,
+        start=start,
+        count=2,
+        estimates=protocol.encode_estimates(np.array(values, dtype=np.float64)),
+        eof=eof,
+    )
+
+
+#: How the stub answers the first 2-probe batch; later batches get one
+#: well-formed eof chunk holding [1.0, 2.0].
+FIRST_ANSWERS = {
+    "out-of-order": (
+        [scripted_chunk(1, 5, [1.0], False), scripted_chunk(1, 1, [2.0], True)],
+        "out-of-order chunk: start=5, expected 0",
+    ),
+    "other-version": (
+        [dict(scripted_chunk(1, 0, [1.0, 2.0], True), v=2)],
+        "wire schema version 2",
+    ),
+}
+
+
+class TestBatchEndedEarly:
+    """A batch that stops before its last frame costs its connection, so
+    its unread frames never answer the next batch; a server error frame
+    (one frame, the stream stays in step) keeps it."""
+
+    PROBES = [EqualityProbe("R", "a", 1), EqualityProbe("R", "a", 2)]
+
+    @staticmethod
+    def _run(flavor, address, script_error):
+        """Two batches on one client: (first's error, connected after it, second's answer)."""
+        if flavor == "sync":
+            client = EstimationClient(*address, retries=0)
+            try:
+                with pytest.raises(script_error) as excinfo:
+                    client.estimate_batch(TestBatchEndedEarly.PROBES)
+                connected = client.connected
+                return excinfo.value, connected, client.estimate_batch(TestBatchEndedEarly.PROBES)
+            finally:
+                client.close()
+
+        async def drive():
+            client = AsyncEstimationClient(*address, retries=0)
+            try:
+                with pytest.raises(script_error) as excinfo:
+                    await client.estimate_batch(TestBatchEndedEarly.PROBES)
+                connected = client.connected
+                return excinfo.value, connected, await client.estimate_batch(
+                    TestBatchEndedEarly.PROBES
+                )
+            finally:
+                await client.close()
+
+        return asyncio.run(drive())
+
+    @pytest.mark.parametrize("answer", sorted(FIRST_ANSWERS))
+    @pytest.mark.parametrize("flavor", ["sync", "async"])
+    def test_protocol_error_drops_the_connection(self, flavor, answer):
+        frames, message = FIRST_ANSWERS[answer]
+
+        def script(request_id):
+            if request_id == 1:
+                return frames
+            return [scripted_chunk(request_id, 0, [1.0, 2.0], True)]
+
+        stub = ScriptedServer(script)
+        try:
+            error, connected, second = self._run(flavor, stub.address, ProtocolError)
+        finally:
+            stub.close()
+        assert message in str(error)
+        assert connected is False
+        assert second.tolist() == [1.0, 2.0]
+        assert stub.connections == 2
+
+    @pytest.mark.parametrize("flavor", ["sync", "async"])
+    def test_remote_error_keeps_the_connection(self, flavor):
+        def script(request_id):
+            if request_id == 1:
+                return [protocol.message("error", id=1, code="batch-failed", detail="no")]
+            return [scripted_chunk(request_id, 0, [1.0, 2.0], True)]
+
+        stub = ScriptedServer(script)
+        try:
+            error, connected, second = self._run(flavor, stub.address, RemoteBatchError)
+        finally:
+            stub.close()
+        assert error.code == "batch-failed"
+        assert connected is True
+        assert second.tolist() == [1.0, 2.0]
+        assert stub.connections == 1
+
+    @pytest.mark.parametrize("flavor", ["sync", "async"])
+    def test_abandoned_stream_does_not_answer_the_next_batch(self, service, flavor):
+        probes = mixed_probes(100)
+        local = service.estimate_batch(probes)
+        with serve_in_thread(service, chunk_probes=10) as handle:
+            if flavor == "sync":
+                with EstimationClient(*handle.address) as client:
+                    for _ in client.stream_batch(probes):
+                        break
+                    out = client.estimate_batch(probes)
+            else:
+
+                async def drive():
+                    async with AsyncEstimationClient(*handle.address) as client:
+                        async for _ in client.stream_batch(probes):
+                            break
+                        return await client.estimate_batch(probes)
+
+                out = asyncio.run(drive())
+        assert out.tobytes() == local.tobytes()
+
+
 class TestAuthentication:
     def test_bad_token_is_refused_not_reset(self, service):
         tenants = [TenantConfig(name="acme", token="s3cret")]
@@ -413,7 +584,7 @@ class TestAdmission:
         verdicts_b = [None] * 3 + [REASON_BACKPRESSURE] * 3
         expected_a = reference.estimate_batch(probes_a)
         expected_b = reference.estimate_batch(
-            probes_b, admission=lambda batch: verdicts_b
+            probes_b, admission=verdicts_b
         )
         with serve_in_thread(service, tenants=tenants) as handle:
             stall = StalledWrite(handle.server._send_frame)
@@ -455,7 +626,7 @@ class TestAdmission:
         verdicts = [None] * 5 + [REASON_QUOTA_EXCEEDED] * 3
         local_traces = []
         local = EstimationService(catalog).estimate_batch(
-            probes, trace=local_traces.append, admission=lambda batch: verdicts
+            probes, trace=local_traces.append, admission=verdicts
         )
         runs = {}
         for traced in (False, True):

@@ -1,4 +1,4 @@
-"""The admission hook on EstimationService.estimate_batch.
+"""The admission verdicts of EstimationService.estimate_batch.
 
 Quota/backpressure rejections (the network server's admission control)
 must ride the existing per-probe degradation machinery: typed reasons,
@@ -20,6 +20,7 @@ from repro.serve import (
     EqualityProbe,
     EstimationService,
     JoinProbe,
+    ProbeFrame,
     RangeProbe,
 )
 
@@ -56,7 +57,7 @@ PROBES = [
 class TestAdmissionHook:
     def test_no_hook_is_the_default_path(self, service):
         baseline = service.estimate_batch(PROBES)
-        with_hook = service.estimate_batch(PROBES, admission=lambda probes: None)
+        with_hook = service.estimate_batch(PROBES, admission=None)
         assert with_hook.tobytes() == baseline.tobytes()
         assert service.stats().rejected_probes == 0
 
@@ -64,7 +65,7 @@ class TestAdmissionHook:
         verdicts = [None, REASON_QUOTA_EXCEEDED, REASON_BACKPRESSURE]
         traces = []
         out = service.estimate_batch(
-            PROBES, admission=lambda probes: verdicts, trace=traces.append
+            PROBES, admission=verdicts, trace=traces.append
         )
         baseline = service.estimate_batch([PROBES[0]])
         assert out[0] == baseline[0]
@@ -91,7 +92,7 @@ class TestAdmissionHook:
         out = service.estimate_batch(
             PROBES,
             on_error="nan",
-            admission=lambda probes: [REASON_QUOTA_EXCEEDED, None, None],
+            admission=[REASON_QUOTA_EXCEEDED, None, None],
         )
         assert math.isnan(out[0])
         assert np.all(np.isfinite(out[1:]))
@@ -101,24 +102,42 @@ class TestAdmissionHook:
             service.estimate_batch(
                 PROBES,
                 on_error="raise",
-                admission=lambda probes: [REASON_QUOTA_EXCEEDED, None, None],
+                admission=[REASON_QUOTA_EXCEEDED, None, None],
             )
 
     def test_unknown_row_fallback_is_zero(self, service):
         out = service.estimate_batch(
             [EqualityProbe("NOPE", "a", 1), JoinProbe("NOPE", "a", "ALSO", "b")],
-            admission=lambda probes: [REASON_QUOTA_EXCEEDED] * 2,
+            admission=[REASON_QUOTA_EXCEEDED] * 2,
         )
         assert np.all(out == 0.0)
 
     def test_misaligned_verdicts_rejected(self, service):
         with pytest.raises(ValueError, match="align"):
-            service.estimate_batch(PROBES, admission=lambda probes: [None])
+            service.estimate_batch(PROBES, admission=[None])
 
-    def test_hook_sees_the_whole_batch(self, service):
-        seen = []
-        service.estimate_batch(PROBES, admission=lambda probes: seen.append(list(probes)))
-        assert seen == [PROBES]
+    @pytest.mark.parametrize("framed", [False, True])
+    def test_list_and_object_column_verdicts_agree(self, catalog, framed):
+        """The verdicts as a list or as an object column (how the network
+        server builds them from its masks) give the same answers, traces
+        and counters."""
+        verdicts = [REASON_BACKPRESSURE, None, REASON_QUOTA_EXCEEDED]
+        column = np.empty(len(verdicts), dtype=object)
+        column[[0, 2]] = [REASON_BACKPRESSURE, REASON_QUOTA_EXCEEDED]
+        runs = []
+        for spelling in (verdicts, column):
+            service = EstimationService(catalog)
+            batch = ProbeFrame.from_probes(PROBES) if framed else PROBES
+            traces = []
+            out = service.estimate_batch(batch, admission=spelling, trace=traces.append)
+            runs.append((out.tobytes(), traces, service.stats().as_dict()))
+        assert runs[0] == runs[1]
+        assert [t.position for t in runs[0][1]] == [0, 2]
+
+    def test_callable_is_refused(self, service):
+        with pytest.raises(TypeError, match="callable"):
+            service.estimate_batch(PROBES, admission=lambda probes: [None] * 3)
+        assert service.stats().batches_failed == 1
 
 
 class TestRejectionMetrics:
@@ -126,7 +145,7 @@ class TestRejectionMetrics:
         """PR-5 guarantee extended: the generic snapshot copy must pick up
         the new rejection fields without bespoke code."""
         service.estimate_batch(
-            PROBES, admission=lambda probes: [REASON_QUOTA_EXCEEDED, None, None]
+            PROBES, admission=[REASON_QUOTA_EXCEEDED, None, None]
         )
         snapshot = service.metrics.snapshot()
         assert snapshot.rejected_probes == 1
@@ -139,7 +158,7 @@ class TestRejectionMetrics:
 
     def test_as_dict_and_format_cover_rejections(self, service):
         service.estimate_batch(
-            PROBES, admission=lambda probes: [REASON_BACKPRESSURE, None, None]
+            PROBES, admission=[REASON_BACKPRESSURE, None, None]
         )
         stats = service.stats()
         flat = stats.as_dict()
@@ -150,7 +169,7 @@ class TestRejectionMetrics:
     def test_registry_export(self, catalog):
         service = EstimationService(catalog, name="admission-svc")
         service.estimate_batch(
-            PROBES, admission=lambda probes: [REASON_QUOTA_EXCEEDED, None, None]
+            PROBES, admission=[REASON_QUOTA_EXCEEDED, None, None]
         )
         text = runtime.get_registry().to_prometheus()
         assert "repro_serve_rejected_probes_total" in text

@@ -283,7 +283,7 @@ def _batch(framed: bool):
         probes = [PROBE_TYPES[cell.kind](*cell.args)]
         batch = ProbeFrame.from_probes(probes) if framed else probes
         if cell.admission is not None:
-            kwargs["admission"] = lambda seen: [cell.admission]
+            kwargs["admission"] = [cell.admission]
         return float(service.estimate_batch(batch, **kwargs)[0])
 
     return run
