@@ -144,5 +144,6 @@ def cross_product(left: Relation, right: Relation, name: str = "") -> Relation:
     _ensure_relation(left, "left")
     _ensure_relation(right, "right")
     schema = _merged_schema(left, right)
-    rows = [l + r for l in left.rows() for r in right.rows()]
+    inner = list(right.rows())
+    rows = [l + r for l in left.rows() for r in inner]
     return Relation(name or f"({left.name} × {right.name})", schema, rows)

@@ -1,26 +1,35 @@
-"""In-memory relations: named bags of tuples over a schema."""
+"""In-memory relations: named bags of tuples over a schema, stored as columns."""
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from repro.core.frequency import AttributeDistribution
 from repro.engine.schema import Attribute, Schema
 from repro.util.rng import RandomSource, derive_rng
 
 
-class Relation:
-    """A named bag (multiset) of tuples.
+def _transpose(rows: list[tuple], width: int) -> list[list]:
+    """The *width* columns of equal-arity *rows*, one list each."""
+    return [list(map(itemgetter(position), rows)) for position in range(width)]
 
-    Rows are plain tuples aligned with the schema.  The class supports the
-    handful of operations the reproduction needs: column extraction,
-    insertion/deletion (for histogram-maintenance experiments), and
-    generation from frequency distributions (the inverse of the ``Matrix``
-    statistics step, used to materialise synthetic relations whose frequency
-    sets are known exactly).
+
+class Relation:
+    """A named bag (multiset) of tuples, stored as one list per attribute.
+
+    A tuple is the values at one position across the column lists, aligned
+    with the schema.  :meth:`rows` builds the tuples on demand and
+    :meth:`column` returns a copy of one list; the ``Matrix`` step
+    (:meth:`frequency_distribution`) counts the stored list itself.  The
+    class supports the handful of operations the reproduction needs:
+    column extraction, insertion/deletion (for histogram-maintenance
+    experiments), and generation from frequency distributions (the inverse
+    of the ``Matrix`` statistics step, used to materialise synthetic
+    relations whose frequency sets are known exactly).
     """
 
-    __slots__ = ("name", "_schema", "_rows")
+    __slots__ = ("name", "_schema", "_columns")
 
     def __init__(self, name: str, schema: Schema, rows: Optional[Iterable[tuple]] = None):
         if not name or not isinstance(name, str):
@@ -29,9 +38,9 @@ class Relation:
             raise TypeError(f"schema must be a Schema, got {type(schema).__name__}")
         self.name = name
         self._schema = schema
-        self._rows: list[tuple] = []
-        for row in rows or ():
-            self.insert(tuple(row))
+        rows = [tuple(row) for row in rows or ()]
+        schema.validate_rows(rows)
+        self._columns = _transpose(rows, len(schema))
 
     @classmethod
     def from_columns(
@@ -39,9 +48,10 @@ class Relation:
     ) -> "Relation":
         """Build a relation from parallel column sequences.
 
-        The rows are built in one pass without :meth:`insert`'s per-row
-        check, which cannot fail here: the schema has no types, and the
-        equal-length check already fixes every row's arity.
+        Each sequence is copied into a list as it is, without
+        :meth:`insert`'s per-row check, which cannot fail here: the schema
+        has no types, and the equal-length check already fixes every row's
+        arity.
         """
         if not columns:
             raise ValueError("at least one column is required")
@@ -49,7 +59,7 @@ class Relation:
         if len(lengths) != 1:
             raise ValueError(f"columns must have equal lengths, got {lengths}")
         relation = cls(name, Schema([Attribute(column_name) for column_name in columns]))
-        relation._rows = list(zip(*columns.values()))
+        relation._columns = [list(values) for values in columns.values()]
         return relation
 
     @classmethod
@@ -67,15 +77,14 @@ class Relation:
         *shuffle* the rows are permuted so physical order carries no
         information (as in a real heap file).
         """
-        rows = []
+        values = []
         for value, freq in zip(distribution.values, distribution.frequencies):
-            count = int(round(float(freq)))
-            rows.extend([(value,)] * count)
+            values.extend([value] * int(round(float(freq))))
         if shuffle is not None:
             gen = derive_rng(shuffle)
-            order = gen.permutation(len(rows))
-            rows = [rows[i] for i in order]
-        return cls(name, Schema([Attribute(attribute)]), rows)
+            order = gen.permutation(len(values))
+            values = [values[i] for i in order]
+        return cls.from_columns(name, {attribute: values})
 
     @property
     def schema(self) -> Schema:
@@ -84,46 +93,48 @@ class Relation:
     @property
     def cardinality(self) -> int:
         """Number of tuples (``T`` in the paper's notation)."""
-        return len(self._rows)
+        return len(self._columns[0])
 
     def rows(self) -> Iterator[tuple]:
-        """Iterate over the tuples."""
-        return iter(self._rows)
+        """Iterate over the tuples, built from the columns as they go."""
+        return zip(*self._columns)
 
     def column(self, attribute: str) -> list:
-        """Extract one column as a list of values."""
-        position = self._schema.position(attribute)
-        return [row[position] for row in self._rows]
+        """A copy of one column's values."""
+        return list(self._columns[self._schema.position(attribute)])
 
     def column_pair(self, first: str, second: str) -> list[tuple]:
         """Extract two columns as value pairs (for 2-D frequency matrices)."""
         i = self._schema.position(first)
         j = self._schema.position(second)
-        return [(row[i], row[j]) for row in self._rows]
+        return list(zip(self._columns[i], self._columns[j]))
 
     def insert(self, row: tuple) -> None:
         """Append one tuple after validating it against the schema."""
         row = tuple(row)
         self._schema.validate_row(row)
-        self._rows.append(row)
+        for column, value in zip(self._columns, row):
+            column.append(value)
 
     def delete_where(self, predicate: Callable[[tuple], bool]) -> int:
         """Delete all tuples satisfying *predicate*; return how many."""
-        kept = [row for row in self._rows if not predicate(row)]
-        removed = len(self._rows) - len(kept)
-        self._rows = kept
+        kept = [row for row in self.rows() if not predicate(row)]
+        removed = self.cardinality - len(kept)
+        if removed:
+            self._columns = _transpose(kept, len(self._schema))
         return removed
 
     def distinct_count(self, attribute: str) -> int:
         """Number of distinct values in *attribute*."""
-        position = self._schema.position(attribute)
-        return len({row[position] for row in self._rows})
+        return len(set(self._columns[self._schema.position(attribute)]))
 
     def frequency_distribution(self, attribute: str) -> AttributeDistribution:
         """The attribute's value->frequency mapping (the ``Matrix`` step)."""
         if self.cardinality == 0:
             raise ValueError(f"relation {self.name!r} is empty")
-        return AttributeDistribution.from_column(self.column(attribute))
+        position = self._schema.position(attribute)
+        # from_column only reads the list, so the stored one goes uncopied.
+        return AttributeDistribution.from_column(self._columns[position])
 
     def __len__(self) -> int:
         return self.cardinality

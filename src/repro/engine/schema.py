@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from operator import itemgetter
 from typing import Optional, Sequence
 
 
@@ -84,3 +86,20 @@ class Schema:
             )
         for attribute, value in zip(self._attributes, row):
             attribute.validate(value)
+
+    def validate_rows(self, rows: list[tuple]) -> None:
+        """Check every tuple of *rows* as :meth:`validate_row` does.
+
+        The checks run one pass per column (arity, then each typed
+        attribute), so an untyped schema checks only the arity; a batch
+        that fails them is checked again row by row, which raises the
+        error :meth:`validate_row` gives for the first bad tuple.
+        """
+        if set(map(len, rows)) <= {len(self._attributes)} and all(
+            all(map(isinstance, map(itemgetter(position), rows), repeat(attribute.dtype)))
+            for position, attribute in enumerate(self._attributes)
+            if attribute.dtype is not None
+        ):
+            return
+        for row in rows:
+            self.validate_row(row)

@@ -258,11 +258,19 @@ class BatchCall:
                 f"out-of-order chunk: start={frame.get('start')!r}, "
                 f"expected {self._received}"
             )
-        total = int(frame.get("count", self._count))
+        try:
+            total = int(frame.get("count", self._count))
+            traces = (
+                [protocol.trace_from_wire(wire) for wire in frame.get("traces", [])]
+                if self._trace is not None
+                else ()
+            )
+        except (TypeError, ValueError) as exc:
+            # WireCodecError is a ValueError.
+            raise ProtocolError(f"bad chunk frame: {exc}") from exc
         self._received += chunk.size
-        if self._trace is not None:
-            for wire_trace in frame.get("traces", []):
-                self._trace(protocol.trace_from_wire(wire_trace))
+        for trace in traces:
+            self._trace(trace)
         self.done = bool(frame.get("eof"))
         if self.done and self._received != total:
             raise ProtocolError(

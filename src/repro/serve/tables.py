@@ -29,10 +29,9 @@ A table vectorizes only when the conversion to float64 codes is *lossless*:
 * no two **distinct** domain values collapse onto one float64 code.
   Distinct integers at or beyond 2**53 can round to the same code, which
   would let ``equality_batch`` match a probe to its neighbour and would
-  silently violate ``np.intersect1d(assume_unique=True)`` in
-  :meth:`CompiledHistogram.join_with`.  Collapse is detected at compile
-  time (equal adjacent sorted codes) and routes the table to the exact
-  dict path.
+  break the unique-code lookup of :meth:`CompiledHistogram.join_with`.
+  Collapse is detected at compile time (equal adjacent sorted codes) and
+  routes the table to the exact dict path.
 
 Probe batches vectorize under the mirror-image rules, checked by
 :func:`probe_code_array`: numeric dtype, and — for integer probes that
@@ -254,9 +253,9 @@ class CompiledHistogram:
             ):
                 # Float64 collapse: two distinct domain values share a
                 # code (integers at/beyond 2**53).  The vectorized path
-                # would match probes to neighbours and violate the
-                # uniqueness contract of intersect1d in join_with —
-                # serve this table through the exact path instead.
+                # would match probes to neighbours and break the
+                # unique-code lookup in join_with — serve this table
+                # through the exact path instead.
                 codes = None
             else:
                 self._numeric = True
@@ -556,21 +555,27 @@ class CompiledHistogram:
 
         ``Σ_v f̂_left(v) · f̂_right(v)`` over the domain intersection —
         Theorem 2.1 applied to the two histogram matrices.  The vectorized
-        intersection requires *both* code arrays to be collision-free,
-        which the compile-time collapse check guarantees; demoted tables
-        join through the exact dict path.
+        intersection looks the smaller sorted code array up in the larger
+        one, so it requires *both* to be collision-free, which the
+        compile-time collapse check guarantees; demoted tables join
+        through the exact dict path.  The matches come out in ascending
+        code order, so the dot product sums the same terms in the same
+        order whichever side is looked up.
         """
         if not isinstance(other, CompiledHistogram):
             raise TypeError(
                 f"join_with expects a CompiledHistogram, got {type(other).__name__}"
             )
         if self._numeric and other._numeric:
-            _, mine, theirs = np.intersect1d(
-                self._codes, other._codes, assume_unique=True, return_indices=True
+            if self._codes.size > other._codes.size:
+                return other.join_with(self)
+            if self._codes.size == 0:
+                return 0.0
+            pos = np.minimum(
+                np.searchsorted(other._codes, self._codes), other._codes.size - 1
             )
-            return float(
-                np.dot(self._approx[mine], other._approx[theirs])
-            )
+            hit = other._codes[pos] == self._codes
+            return float(np.dot(self._approx[hit], other._approx[pos[hit]]))
         small, big = (
             (self, other) if self.domain_size <= other.domain_size else (other, self)
         )

@@ -392,8 +392,8 @@ def scripted_chunk(request_id, start, values, eof):
     )
 
 
-#: How the stub answers the first 2-probe batch; later batches get one
-#: well-formed eof chunk holding [1.0, 2.0].
+#: How the stub answers the first 2-probe batch (sent with a ``trace=``
+#: hook); later batches get one well-formed eof chunk holding [1.0, 2.0].
 FIRST_ANSWERS = {
     "out-of-order": (
         [scripted_chunk(1, 5, [1.0], False), scripted_chunk(1, 1, [2.0], True)],
@@ -402,6 +402,22 @@ FIRST_ANSWERS = {
     "other-version": (
         [dict(scripted_chunk(1, 0, [1.0, 2.0], True), v=2)],
         "wire schema version 2",
+    ),
+    "trace-entry": (
+        [dict(scripted_chunk(1, 0, [1.0, 2.0], True), traces=[{"kind": "equality"}])],
+        "bad chunk frame: malformed wire trace {'kind': 'equality'}",
+    ),
+    "traces-not-a-list": (
+        [dict(scripted_chunk(1, 0, [1.0, 2.0], True), traces=7)],
+        "bad chunk frame: 'int' object is not iterable",
+    ),
+    "count-text": (
+        [dict(scripted_chunk(1, 0, [1.0, 2.0], True), count="two")],
+        "bad chunk frame: invalid literal for int()",
+    ),
+    "count-null": (
+        [dict(scripted_chunk(1, 0, [1.0, 2.0], True), count=None)],
+        "bad chunk frame: int() argument must be",
     ),
 }
 
@@ -415,12 +431,14 @@ class TestBatchEndedEarly:
 
     @staticmethod
     def _run(flavor, address, script_error):
-        """Two batches on one client: (first's error, connected after it, second's answer)."""
+        """Two batches on one client: (first's error, connected after it, second's answer).
+
+        The first batch asks for traces, so a chunk's ``traces`` is decoded."""
         if flavor == "sync":
             client = EstimationClient(*address, retries=0)
             try:
                 with pytest.raises(script_error) as excinfo:
-                    client.estimate_batch(TestBatchEndedEarly.PROBES)
+                    client.estimate_batch(TestBatchEndedEarly.PROBES, trace=lambda t: None)
                 connected = client.connected
                 return excinfo.value, connected, client.estimate_batch(TestBatchEndedEarly.PROBES)
             finally:
@@ -430,7 +448,7 @@ class TestBatchEndedEarly:
             client = AsyncEstimationClient(*address, retries=0)
             try:
                 with pytest.raises(script_error) as excinfo:
-                    await client.estimate_batch(TestBatchEndedEarly.PROBES)
+                    await client.estimate_batch(TestBatchEndedEarly.PROBES, trace=lambda t: None)
                 connected = client.connected
                 return excinfo.value, connected, await client.estimate_batch(
                     TestBatchEndedEarly.PROBES

@@ -11,6 +11,7 @@ and mixed/unorderable domains.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -190,6 +191,67 @@ def test_join_matches_exact_reference(left, right):
     assert np.isclose(
         left.join_with(right), right.join_with(left), rtol=1e-12, atol=1e-9
     )
+
+
+def _intersect1d_join(left, right):
+    """The vectorized join as ``np.intersect1d`` computes it: the reference
+    the sorted-code lookup must reproduce bit for bit."""
+    _, mine, theirs = np.intersect1d(
+        left._codes, right._codes, assume_unique=True, return_indices=True
+    )
+    return float(np.dot(left._approx[mine], right._approx[theirs]))
+
+
+#: Codes both sides draw from, so domains overlap, nest and coincide.
+join_codes = st.one_of(
+    st.integers(min_value=-30, max_value=30),
+    st.sampled_from([float("inf"), float("-inf"), -0.0, 0.5, float("nan")]),
+)
+#: Magnitudes far apart, so a different summation order shows in the bits.
+join_frequencies = st.floats(min_value=1e-3, max_value=1e6, allow_nan=False)
+
+
+@st.composite
+def numeric_join_pairs(draw):
+    left = draw(st.lists(join_codes, min_size=0, max_size=70))
+    shape = draw(st.sampled_from(["overlapping", "identical", "disjoint"]))
+    if shape == "identical":
+        right = list(left)
+    else:
+        right = draw(st.lists(join_codes, min_size=0, max_size=70))
+        if shape == "disjoint":
+            right = [value for value in right if value not in set(left)]
+    tables = []
+    for values in (left, right):
+        freqs = draw(st.lists(join_frequencies, min_size=len(values), max_size=len(values)))
+        tables.append(CompiledHistogram(values, freqs))
+    return tables
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=numeric_join_pairs())
+def test_join_lookup_equals_intersect1d_bit_for_bit(pair):
+    left, right = pair
+    assert left._numeric and right._numeric
+    for a, b in ((left, right), (right, left), (left, left)):
+        assert np.float64(a.join_with(b)).tobytes() == np.float64(
+            _intersect1d_join(a, b)
+        ).tobytes()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_join_lookup_equals_intersect1d_on_large_tables(seed):
+    """Tables of bulk's sizes, where the dot product runs in SIMD blocks."""
+    gen = np.random.default_rng(seed)
+    tables = []
+    for size in (100, 4096, 16384):
+        values = np.sort(gen.choice(20000, size=size, replace=False)).tolist()
+        tables.append(CompiledHistogram(values, gen.pareto(1.0, size) * 100.0))
+    for left in tables:
+        for right in tables:
+            assert np.float64(left.join_with(right)).tobytes() == np.float64(
+                _intersect1d_join(left, right)
+            ).tobytes()
 
 
 @settings(max_examples=100, deadline=None)
